@@ -63,7 +63,11 @@ def _parse_alphas(text: str):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise StateFileError(f"cannot parse {SEED_ENV_VAR}={text!r} as an integer seed") from exc
 
 
 def _spectrum_from_file(path) -> SchmidtSpectrum:
@@ -236,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
         return args.func(args)
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,12 +7,13 @@ squared coefficients p_l = a^(N-l) b^l.  Truncating to levels l <= x*N and
 renormalizing yields the state whose fidelity with the full power and whose
 per-copy order-alpha entropies this module evaluates.
 
-Every sum over levels runs in the natural-log domain through log-sum-exp
-(binomials at N ~ 10^6 overflow any fixed-width float); conversion to base-2
-happens only at output.  The fidelity is reported in two conventions that
-agree on all step-function conclusions: the squared tail mass T^2 and the
-normalized-state overlap T (see ``fidelity_curve``).  Entropies use the
-standard non-negative sign convention.
+Every sum over levels runs in the natural-log domain (binomials at N ~ 10^6
+overflow any fixed-width float) as a running log-sum-exp over one table of
+level log-weights, read at each cutoff; conversion to base-2 happens only at
+output.  The fidelity is reported in two conventions that agree on all
+step-function conclusions: the squared tail mass T^2 and the normalized-state
+overlap T (see ``fidelity_curve``).  Entropies use the standard non-negative
+sign convention.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
-from .monotones import renyi_entropy
+from .monotones import ALPHA_ONE_TOL, renyi_entropy
 
 LN2 = math.log(2.0)
 
@@ -87,11 +88,16 @@ class DilutionCurve:
     x_star: float
 
 
+def _log_binomials(n_tilde, l):
+    """ln C(N, l) via log-gamma, elementwise over the level index l."""
+    return gammaln(n_tilde + 1) - gammaln(l + 1) - gammaln(n_tilde - l + 1)
+
+
 def log_binom(n: int, l: int) -> float:
     """Natural log of the binomial coefficient C(n, l), via log-gamma."""
     if l < 0 or l > n or n < 0:
         raise ValueError(f"binomial index out of range: C({n}, {l})")
-    return float(gammaln(n + 1) - gammaln(l + 1) - gammaln(n - l + 1))
+    return float(_log_binomials(n, l))
 
 
 def truncation_index(x: float, n_tilde: int) -> int:
@@ -99,27 +105,30 @@ def truncation_index(x: float, n_tilde: int) -> int:
     return int(min(max(math.floor(x * n_tilde), 0), n_tilde))
 
 
-def _log_level_weights(target: DilutionTarget, n_tilde: int, r: int) -> np.ndarray:
-    """ln of C(N, l) a^(N-l) b^l for l = 0..r."""
-    l = np.arange(r + 1)
-    log_c = gammaln(n_tilde + 1) - gammaln(l + 1) - gammaln(n_tilde - l + 1)
-    return log_c + (n_tilde - l) * math.log(target.a) + l * math.log(target.b)
+def _level_table(target: DilutionTarget, n_tilde: int, r_max: int):
+    """Levels l = 0..r_max with ln C(N, l) and ln p_l = (N-l) ln a + l ln b."""
+    l = np.arange(r_max + 1)
+    return l, _log_binomials(n_tilde, l), (n_tilde - l) * math.log(target.a) + l * math.log(target.b)
+
+
+def _prefix(log_terms: np.ndarray, r):
+    """ln sum_{l<=r} exp(log_terms[l]) at each cutoff r, from one running log-sum-exp."""
+    return np.logaddexp.accumulate(log_terms)[r]
 
 
 def tail_mass(target: DilutionTarget, n_tilde: int, r: int) -> float:
     """T = sum_{l<=r} C(N,l) a^(N-l) b^l, in (0, 1], by log-sum-exp."""
     if r < 0 or r > n_tilde:
         raise ValueError(f"level cutoff out of range: r={r}, N={n_tilde}")
-    return float(min(math.exp(logsumexp(_log_level_weights(target, n_tilde, r))), 1.0))
+    _, log_c, log_p = _level_table(target, n_tilde, r)
+    return float(min(math.exp(_prefix(log_c + log_p, r)), 1.0))
 
 
 def m_of_r(n_tilde: int, r: int) -> float:
     """Base-2 log of the retained coefficient count: the teleportation cost in ebits."""
     if r < 0 or r > n_tilde:
         raise ValueError(f"level cutoff out of range: r={r}, N={n_tilde}")
-    l = np.arange(r + 1)
-    log_c = gammaln(n_tilde + 1) - gammaln(l + 1) - gammaln(n_tilde - l + 1)
-    return float(logsumexp(log_c) / LN2)
+    return float(_prefix(_log_binomials(n_tilde, np.arange(r + 1)), r) / LN2)
 
 
 def fidelity_curve(target: DilutionTarget, n_tilde: int, x_samples):
@@ -134,8 +143,8 @@ def fidelity_curve(target: DilutionTarget, n_tilde: int, x_samples):
     xs = np.asarray(x_samples, dtype=float)
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise ValueError("x samples must lie in [0, 1]")
-    t = np.array([tail_mass(target, n_tilde, truncation_index(x, n_tilde)) for x in xs])
-    return t * t, t
+    curve = entropy_curves(target, n_tilde, xs, alphas=())
+    return curve.fidelity_paper, curve.fidelity_normalized
 
 
 def x_star(target: DilutionTarget) -> float:
@@ -151,20 +160,15 @@ def x_star(target: DilutionTarget) -> float:
 def x_star_finite(target: DilutionTarget, n_tilde: int) -> float:
     """Finite-N step location: smallest r with m_of_r(r) >= N H(b), as a fraction.
 
-    Bisection over the integer level cutoff; m_of_r is strictly increasing
-    in r, so this brackets the exact crossing of the asymptotic identity.
+    One running log-sum-exp over all N + 1 binomials gives m_of_r for every r;
+    it is non-decreasing, so a binary search on it finds the exact crossing.
     """
+    if n_tilde < 1:
+        raise ValueError(f"copy count N must be at least 1, got {n_tilde!r}")
     goal = n_tilde * target.entanglement(1.0)
-    lo, hi = 0, n_tilde
-    if m_of_r(n_tilde, lo) >= goal:
-        return 0.0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if m_of_r(n_tilde, mid) >= goal:
-            hi = mid
-        else:
-            lo = mid
-    return hi / n_tilde
+    m_bits = np.logaddexp.accumulate(_log_binomials(n_tilde, np.arange(n_tilde + 1))) / LN2
+    # rounding may keep m_of_r(N) = N a hair below a goal close to N
+    return min(int(np.searchsorted(m_bits, goal)), n_tilde) / n_tilde
 
 
 def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,)) -> DilutionCurve:
@@ -173,43 +177,41 @@ def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,
     For cutoff r the normalized squared coefficients are lambda_l = p_l / T
     with multiplicity C(N, l); the per-copy Shannon entropy is
     -(1/N) sum C(N,l) lambda_l log2 lambda_l and the order-alpha value is
-    log2(sum C(N,l) lambda_l^alpha) / (N (1 - alpha)).
+    log2(sum C(N,l) lambda_l^alpha) / (N (1 - alpha)), or the Shannon value
+    within ``ALPHA_ONE_TOL`` of alpha = 1.  Each sum is one running log-sum-exp
+    over the level table, read at every cutoff: O(N + S) per call.  Shifting
+    the Shannon sum about level r, N ln2 e1 = (ln T - ln p_r) - ln(a/b)(r - L),
+    with L the mean retained level, gives exactly 0 at r = 0 and avoids the
+    order-N cancellation of ln T - sum_l C(N,l) p_l ln p_l / T.
     """
+    if n_tilde < 1:
+        raise ValueError(f"copy count N must be at least 1, got {n_tilde!r}")
     xs = np.asarray(x_samples, dtype=float)
     alphas = [float(a) for a in alphas]
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     r_values = np.array([truncation_index(x, n_tilde) for x in xs], dtype=int)
+    l, log_c, log_p = _level_table(target, n_tilde, int(r_values.max(initial=0)))
+    log_w = log_c + log_p
+    log_t = _prefix(log_w, r_values)
+    tails = np.minimum(np.exp(log_t), 1.0)
+    ms = _prefix(log_c, r_values) / LN2
+    with np.errstate(divide="ignore"):
+        log_lw = log_w + np.log(l)  # ln(l w_l), -inf at l = 0
+    mean_level = np.exp(_prefix(log_lw, r_values) - log_t)
+    nats = (log_t - log_p[r_values]) - math.log(target.a / target.b) * (r_values - mean_level)
+    e1 = nats / (LN2 * n_tilde) + 0.0
 
-    tails = np.empty(xs.size)
-    ms = np.empty(xs.size)
-    e1 = np.empty(xs.size)
-    per_alpha = {alpha: np.empty(xs.size) for alpha in alphas}
-
-    for i, r in enumerate(r_values):
-        logw = _log_level_weights(target, n_tilde, int(r))
-        log_t = float(logsumexp(logw))
-        tails[i] = min(math.exp(log_t), 1.0)
-
-        l = np.arange(r + 1)
-        log_c = gammaln(n_tilde + 1) - gammaln(l + 1) - gammaln(n_tilde - l + 1)
-        ms[i] = float(logsumexp(log_c) / LN2)
-
-        log_lam = logw - log_c - log_t
-        # weights C(N,l) lambda_l = exp(logw - log_t) sum to one; each term of
-        # the Shannon sum is then safely formed in the linear domain.
-        w = np.exp(logw - log_t)
-        e1[i] = float(-(w * log_lam).sum() / (LN2 * n_tilde)) + 0.0
-
-        for alpha in alphas:
-            if alpha == 1.0:
-                per_alpha[alpha][i] = e1[i]
-            elif alpha == 0.0:
-                per_alpha[alpha][i] = ms[i] / n_tilde
-            else:
-                log_s = float(logsumexp(log_c + alpha * log_lam))
-                per_alpha[alpha][i] = log_s / (LN2 * n_tilde * (1.0 - alpha)) + 0.0
+    per_alpha = {}
+    for alpha in alphas:
+        if abs(alpha - 1.0) < ALPHA_ONE_TOL:
+            per_alpha[alpha] = e1.copy()
+        elif alpha == 0.0:
+            per_alpha[alpha] = ms / n_tilde
+        else:
+            log_s = _prefix(log_c + alpha * log_p, r_values) - alpha * log_t
+            per_alpha[alpha] = log_s / (LN2 * n_tilde * (1.0 - alpha)) + 0.0
 
     return DilutionCurve(
         n_tilde=n_tilde,
@@ -245,19 +247,12 @@ def discontinuity_report(target: DilutionTarget, n_tilde_schedule, alpha: float,
     x = min(x_star(target) + delta, 1.0)
     reference = target.entanglement(alpha)
     rows = []
-    for n_tilde in n_tilde_schedule:
-        n_tilde = int(n_tilde)
+    for n_tilde in map(int, n_tilde_schedule):
         curve = entropy_curves(target, n_tilde, [x], alphas=[alpha])
         e_a = float(curve.e_alpha_per_copy[alpha][0])
-        rows.append(
-            DiscontinuityRow(
-                n_tilde=n_tilde,
-                x=x,
-                fidelity_paper=float(curve.fidelity_paper[0]),
-                fidelity_normalized=float(curve.fidelity_normalized[0]),
-                e1=float(curve.e1_per_copy[0]),
-                e_alpha=e_a,
-                gap=reference - e_a,
-            )
-        )
+        rows.append(DiscontinuityRow(
+            n_tilde=n_tilde, x=x, fidelity_paper=float(curve.fidelity_paper[0]),
+            fidelity_normalized=float(curve.fidelity_normalized[0]),
+            e1=float(curve.e1_per_copy[0]), e_alpha=e_a, gap=reference - e_a,
+        ))
     return rows

@@ -45,7 +45,7 @@ class PureState:
                 f"{self.dim_a * self.dim_b} = {self.dim_a}*{self.dim_b}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector norm {norm!r} differs from 1 by more than {NORM_TOL}")
 
     @property
@@ -80,6 +80,8 @@ class DensityMatrix:
         object.__setattr__(self, "entries", m)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"entries have shape {m.shape}, expected ({self.dim}, {self.dim})")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
@@ -104,12 +106,12 @@ class SchmidtSpectrum:
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if v.size == 0:
             raise ValueError("spectrum must be non-empty")
-        if float(v.min()) < -SPECTRUM_CLAMP or float(v.max()) > 1.0 + SPECTRUM_CLAMP:
+        if not (float(v.min()) >= -SPECTRUM_CLAMP and float(v.max()) <= 1.0 + SPECTRUM_CLAMP):
             raise ValueError("spectrum entries must lie in [0, 1]")
         v = np.sort(np.clip(v, 0.0, 1.0))[::-1].copy()
         object.__setattr__(self, "values", v)
         total = float(v.sum())
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"spectrum sums to {total!r}, expected 1 within {NORM_TOL}")
 
     def padded(self, length: int) -> np.ndarray:
@@ -135,9 +137,9 @@ class OutcomeEnsemble:
         probs = np.array([p for p, _ in items])
         if probs.size == 0:
             raise ValueError("ensemble must have at least one outcome")
-        if float(probs.min()) < -PROB_TOL:
+        if not float(probs.min()) >= -PROB_TOL:
             raise ValueError("ensemble probabilities must be non-negative")
-        if abs(float(probs.sum()) - 1.0) > PROB_TOL:
+        if not abs(float(probs.sum()) - 1.0) <= PROB_TOL:
             raise ValueError(f"ensemble probabilities sum to {float(probs.sum())!r}, expected 1")
 
     def __iter__(self):

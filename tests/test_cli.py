@@ -112,6 +112,13 @@ class TestDilutionCommand:
         assert main(["dilution", "--theta", "0", "--n", "4"]) == 3
         assert "theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_copy_count_below_one_exits_3(self, n, capsys):
+        assert main(["dilution", "--theta", "0.5", "--n", n]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "copy count" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
 
 class TestCheckCommand:
     def test_valid_monotone_passes(self, files, tmp_path, capsys):
@@ -226,3 +233,10 @@ class TestDeterminism:
             results.append(out.read_bytes())
         assert results[0] == results[1]
         assert results[0] != results[2]
+
+    def test_unparsable_seed_env_var_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("ENTMONO_SEED", "abc")
+        assert main(["check", "--trials", "2", "--dims", "2x2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "ENTMONO_SEED" in captured.err
+        assert "Traceback" not in captured.err

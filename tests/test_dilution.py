@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from entmono import (
     DilutionTarget,
@@ -16,6 +17,7 @@ from entmono import (
     x_star,
     x_star_finite,
 )
+from entmono.monotones import ALPHA_ONE_TOL
 
 PI6 = DilutionTarget(math.pi / 6)
 THETAS = (math.pi / 8, math.pi / 6, math.pi / 5)
@@ -42,6 +44,36 @@ def brute_curves(theta, n, x, alphas):
             s = math.fsum(c * (w / t) ** alpha for c, w in zip(counts, weights))
             out[alpha] = math.log2(s) / (n * (1.0 - alpha))
     return r, t, m, e1, out
+
+
+def chunked_reference(theta, n, r, alphas, chunk=1 << 16):
+    """Per-cutoff sums as separate log-sum-exp passes over gammaln weights.
+
+    Every quantity at cutoff r is summed from scratch over levels 0..r in
+    chunks of at most ``chunk`` levels, the chunk partials joined by another
+    log-sum-exp (or by fsum in the linear domain), so no running prefix is
+    shared between cutoffs.  Returns (ln T, M in bits, e1, {alpha: e_alpha}).
+    """
+    log_a, log_b = math.log(math.cos(theta) ** 2), math.log(math.sin(theta) ** 2)
+
+    def chunks():
+        for start in range(0, r + 1, chunk):
+            l = np.arange(start, min(start + chunk, r + 1))
+            log_c = gammaln(n + 1) - gammaln(l + 1) - gammaln(n - l + 1)
+            yield log_c, log_c + (n - l) * log_a + l * log_b
+
+    log_t = logsumexp([logsumexp(log_w) for _, log_w in chunks()])
+    m_bits = logsumexp([logsumexp(log_c) for log_c, _ in chunks()]) / math.log(2)
+    shannon, renyi = [], {alpha: [] for alpha in alphas}
+    for log_c, log_w in chunks():
+        log_lam = log_w - log_c - log_t
+        shannon.append(-float((np.exp(log_w - log_t) * log_lam).sum()))
+        for alpha in alphas:
+            renyi[alpha].append(logsumexp(log_c + alpha * log_lam))
+    e1 = math.fsum(shannon) / (n * math.log(2))
+    per_alpha = {alpha: logsumexp(parts) / (n * math.log(2) * (1.0 - alpha))
+                 for alpha, parts in renyi.items()}
+    return log_t, m_bits, e1, per_alpha
 
 
 def literal_spectrum(theta, n, x):
@@ -237,6 +269,64 @@ class TestEntropyCurves:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             entropy_curves(PI6, 10, [0.5], alphas=[1.5])
+
+    def test_alpha_within_one_tol_takes_shannon_branch(self):
+        xs = np.linspace(0.0, 1.0, 11)
+        near = [1.0 - 1e-15, 1.0 - 0.5 * ALPHA_ONE_TOL]
+        target = DilutionTarget(0.5)
+        curve = entropy_curves(target, 10, xs, alphas=near)
+        for alpha in near:
+            assert np.array_equal(curve.e_alpha_per_copy[alpha], curve.e1_per_copy)
+        assert curve.e_alpha_per_copy[near[0]][-1] == pytest.approx(target.entanglement(1.0), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_copy_count_below_one(self, n):
+        with pytest.raises(ValueError, match="copy count"):
+            entropy_curves(PI6, n, [0.5])
+        with pytest.raises(ValueError, match="copy count"):
+            x_star_finite(PI6, n)
+        with pytest.raises(ValueError, match="copy count"):
+            fidelity_curve(PI6, n, [0.5])
+
+
+class TestMillionCopyDrift:
+    """Running prefix sums at N = 10^6 against per-cutoff chunked log-sum-exp."""
+
+    N = 10**6
+    ALPHAS = (0.0, 0.25, 0.5, 0.9)
+
+    @pytest.mark.parametrize("theta", [math.pi / 6, 0.7])
+    def test_prefix_sums_match_chunked_reference(self, theta):
+        target = DilutionTarget(theta)
+        step = round(target.b * self.N)
+        cutoffs = [0, 1, 1000, self.N // 5, step - 1000, step, step + 1000, self.N // 2,
+                   3 * self.N // 4, self.N]
+        xs = [r / self.N for r in cutoffs]
+        curve = entropy_curves(target, self.N, xs, alphas=self.ALPHAS)
+        for i, r in enumerate(curve.r_values):
+            log_t, m_bits, e1, per_alpha = chunked_reference(theta, self.N, int(r), self.ALPHAS)
+            assert abs(curve.tail[i] - math.exp(log_t)) <= 1e-10, r
+            assert abs(curve.m_of_r[i] - m_bits) / self.N <= 1e-11, r
+            assert abs(curve.e1_per_copy[i] - e1) <= 1e-11, r
+            for alpha in self.ALPHAS:
+                assert abs(curve.e_alpha_per_copy[alpha][i] - per_alpha[alpha]) <= 1e-11, (r, alpha)
+        assert curve.r_values[0] == 0 and curve.e1_per_copy[0] == 0.0
+        assert all(curve.e_alpha_per_copy[alpha][0] == 0.0 for alpha in self.ALPHAS)
+        values = [curve.tail, curve.m_of_r, curve.e1_per_copy, *curve.e_alpha_per_copy.values()]
+        assert all(np.all(v >= 0.0) for v in values)
+
+    def test_x_star_finite_matches_reference_bisection(self):
+        target = DilutionTarget(math.pi / 6)
+        goal = self.N * target.entanglement(1.0)
+
+        def m_bits(r):
+            return chunked_reference(math.pi / 6, self.N, r, ())[1]
+
+        lo, hi = 0, self.N
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if m_bits(mid) >= goal else (mid, hi)
+        assert x_star_finite(target, self.N) == hi / self.N
 
 
 class TestDiscontinuityReport:

@@ -3,6 +3,7 @@ import pytest
 
 from entmono import (
     DensityMatrix,
+    OutcomeEnsemble,
     PureState,
     SchmidtSpectrum,
     apply_kraus,
@@ -19,6 +20,7 @@ from entmono import (
 )
 
 BELL = maximally_entangled(2)
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 def basis_state(dim_a, dim_b, i, j):
@@ -36,6 +38,12 @@ class TestPureState:
         with pytest.raises(ValueError, match="length"):
             PureState(2, 3, np.array([1.0, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_amplitude(self, bad):
+        for amps in ([bad, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, bad], [1.0, complex(0.0, bad), 0.0, 0.0]):
+            with pytest.raises(ValueError, match="norm"):
+                PureState(2, 2, np.array(amps, dtype=complex))
+
     def test_coefficient_matrix_round_trip(self, rng):
         psi = random_pure_state(3, 4, rng)
         again = PureState.from_coefficient_matrix(psi.coefficient_matrix)
@@ -52,6 +60,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(2, np.eye(2))
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_entry(self, bad):
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            m = np.diag([0.5, 0.5]).astype(complex)
+            m[i, j] = bad
+            m[j, i] = np.conj(bad)
+            with pytest.raises(ValueError, match="finite"):
+                DensityMatrix(2, m)
+
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
@@ -67,9 +84,23 @@ class TestSchmidtSpectrum:
         with pytest.raises(ValueError, match="sums to"):
             SchmidtSpectrum([0.5, 0.4])
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_entry(self, bad):
+        for values in ([bad, 0.5], [0.5, 0.5, bad], [bad]):
+            with pytest.raises(ValueError, match="lie in"):
+                SchmidtSpectrum(values)
+
     def test_padding(self):
         s = SchmidtSpectrum([0.7, 0.3])
         assert np.allclose(s.padded(4), [0.7, 0.3, 0.0, 0.0])
+
+
+class TestOutcomeEnsemble:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_probability(self, bad):
+        for probs in ((bad, 1.0), (0.5, 0.5, bad)):
+            with pytest.raises(ValueError, match="probabilities"):
+                OutcomeEnsemble(tuple((p, BELL) for p in probs))
 
 
 class TestDensityOf:
