@@ -3,7 +3,7 @@
 A symmetric, concave function g on probability simplices defines a monotone on
 bipartite pure states through evaluation on the Schmidt spectrum.  The Renyi
 family E_alpha (alpha in [0, 1], base-2 logs throughout) is the built-in
-instance; the order-0 entropy counts spectrum entries above ``RANK_CUTOFF``.
+instance; the order-0 entropy counts spectrum entries above ``SPECTRUM_CLAMP``.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .states import PureState, SchmidtSpectrum, ensure_rng, schmidt
+from .states import SPECTRUM_CLAMP, PureState, SchmidtSpectrum, ensure_rng, schmidt
 
-RANK_CUTOFF = 1e-12
 CONCAVITY_SLACK = 1e-9
 SYMMETRY_TOL = 1e-9
 NORMALIZATION_TOL = 1e-12
@@ -68,7 +67,7 @@ def renyi_entropy(p, alpha: float) -> float:
     """Order-alpha entropy of a probability vector, in bits.
 
     alpha = 1 is the Shannon entropy (0 log 0 := 0); alpha = 0 is the log of
-    the number of entries above ``RANK_CUTOFF``; otherwise
+    the number of entries above ``SPECTRUM_CLAMP``; otherwise
     log2(sum p^alpha) / (1 - alpha).  Within ``ALPHA_ONE_TOL`` of alpha = 1
     the Shannon branch is used.
     """
@@ -87,7 +86,7 @@ def renyi_entropy(p, alpha: float) -> float:
         nz = p[p > 0.0]
         return float(-(nz * np.log2(nz)).sum())
     if alpha == 0.0:
-        return float(np.log2(np.count_nonzero(p > RANK_CUTOFF)))
+        return float(np.log2(np.count_nonzero(p > SPECTRUM_CLAMP)))
     return float(np.log2(np.sum(p**alpha)) / (1.0 - alpha))
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monotones import MonotoneSpec
-from .states import DensityMatrix, PureState, ensure_rng
+from .states import (OUTCOME_FLOOR, SPECTRUM_CLAMP, DensityMatrix, PureState, _clamped_squares,
+                     _phase_fixed_qr, ensure_rng)
 
-RANK_CUTOFF = 1e-12
-ZERO_MEMBER = 1e-14
+STEP0, STEP_MIN = 0.6, 0.01  # the proposal step size decays exponentially from STEP0 to STEP_MIN
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def _eigen_decomposition(rho: DensityMatrix):
     w, v = np.linalg.eigh(rho.entries)
     order = np.argsort(w)[::-1]
     w, v = w[order], v[:, order]
-    keep = w > RANK_CUTOFF
+    keep = w > SPECTRUM_CLAMP
     w, v = w[keep], v[:, keep]
     for k in range(v.shape[1]):
         pivot = int(np.argmax(np.abs(v[:, k])))
@@ -69,14 +69,16 @@ def ensemble_from_isometry(rho: DensityMatrix, v, dim_a: int, dim_b: int):
     gram = v.conj().T @ v
     if np.max(np.abs(gram - np.eye(lam.size))) > 1e-10:
         raise ValueError("matrix columns are not orthonormal: V^dag V != I")
-    phi = (v * np.sqrt(lam)[None, :]) @ evecs.T
-    out = []
-    for j in range(phi.shape[0]):
-        p = float(np.real(np.vdot(phi[j], phi[j])))
-        if p < ZERO_MEMBER:
-            continue
-        out.append((p, PureState(dim_a, dim_b, phi[j] / np.sqrt(p))))
-    return out
+    return [(p, PureState(dim_a, dim_b, unit)) for p, unit in _members(v, np.sqrt(lam), evecs.T)]
+
+
+def _members(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray):
+    """Yield (weight, unit vector) per member that ``v`` realizes, except those below ``OUTCOME_FLOOR``."""
+    phi = (v * sqrt_lam[None, :]) @ evecs_t
+    for row in phi:
+        p = float(np.real(np.vdot(row, row)))
+        if p >= OUTCOME_FLOOR:
+            yield p, row / np.sqrt(p)
 
 
 def isometry_of_ensemble(rho: DensityMatrix, ensemble) -> np.ndarray:
@@ -86,19 +88,12 @@ def isometry_of_ensemble(rho: DensityMatrix, ensemble) -> np.ndarray:
     for p, psi in ensemble:
         phi = np.sqrt(p) * psi.amplitudes
         rows.append(evecs.conj().T @ phi / np.sqrt(lam))
-    v = np.array(rows)
     # Re-orthonormalize against roundoff in the supplied ensemble.
-    q, r = np.linalg.qr(v)
-    d = np.diagonal(r).copy()
-    d[np.abs(d) < 1e-14] = 1.0
-    return q * (d / np.abs(d))
+    return _phase_fixed_qr(np.array(rows))
 
 
 def _random_isometry(m: int, r: int, rng) -> np.ndarray:
-    z = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
-    q, rr = np.linalg.qr(z)
-    d = np.diagonal(rr)
-    return q * (d / np.abs(d))
+    return _phase_fixed_qr(rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r)))
 
 
 def _eye_isometry(m: int, r: int) -> np.ndarray:
@@ -109,8 +104,7 @@ def _eye_isometry(m: int, r: int) -> np.ndarray:
 
 def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec,
                   m=None, restarts: int = 8, iterations: int = 600, seed=0,
-                  initial_isometries=None, step0: float = 0.6,
-                  step_min: float = 0.01) -> RoofEstimate:
+                  initial_isometries=None) -> RoofEstimate:
     """Best ensemble-average of ``spec`` over realizing ensembles found by local search.
 
     Proposals are small complex Givens rotations mixing two random rows of the
@@ -134,17 +128,10 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
     basis_t = evecs.T
 
     def objective(v: np.ndarray) -> float:
-        phi = (v * sqrt_lam[None, :]) @ basis_t
         total = 0.0
-        for j in range(phi.shape[0]):
-            p = float(np.real(np.vdot(phi[j], phi[j])))
-            if p < ZERO_MEMBER:
-                continue
-            s = np.linalg.svd(phi[j].reshape(dim_a, dim_b) / np.sqrt(p), compute_uv=False)
-            vals = s * s
-            vals[vals < RANK_CUTOFF] = 0.0
-            vals = vals / vals.sum()
-            total += p * float(spec.g(vals))
+        for p, unit in _members(v, sqrt_lam, basis_t):
+            vals = _clamped_squares(np.linalg.svd(unit.reshape(dim_a, dim_b), compute_uv=False))
+            total += p * float(spec.g(vals / vals.sum()))
         return total
 
     starts = [_eye_isometry(m, rank)]
@@ -170,8 +157,8 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
         current = objective(v)
         at_checkpoint = current
         if m >= 2:
-            decay = (step_min / step0) ** (1.0 / max(iterations, 1))
-            step = step0
+            decay = (STEP_MIN / STEP0) ** (1.0 / max(iterations, 1))
+            step = STEP0
             for it in range(iterations):
                 if it == checkpoint:
                     at_checkpoint = current

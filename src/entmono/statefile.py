@@ -7,9 +7,10 @@ A state file holds exactly one representation:
   {"label": "published", "schmidt": [0.5, 0.5]}                 # descending weights
 
 A density file replaces "amplitudes" with "density" (row-major d x d entries,
-d = dim_a * dim_b).  A roof certificate stores the estimate value and the
-realizing ensemble as a list of {"probability", "amplitudes"} records, so it
-can be re-imported and re-evaluated independently.
+d = dim_a * dim_b).  Dimensions must be JSON integers.  A roof certificate
+stores the estimate value and the realizing ensemble as a list of
+{"probability", "amplitudes"} records, so it can be re-imported and
+re-evaluated independently.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import json
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, SchmidtSpectrum
+from .states import DensityMatrix, PureState, SchmidtSpectrum, density_of
+
+_REPRESENTATIONS = ("amplitudes", "schmidt", "density")
 
 
 class StateFileError(ValueError):
@@ -31,9 +34,11 @@ def _complex_array(node, path, context):
     for key in ("dim_a", "dim_b", "re_im"):
         if key not in node:
             raise StateFileError(f"{path}: {context} is missing key {key!r}")
+    dim_a, dim_b = node["dim_a"], node["dim_b"]
+    for key, dim in (("dim_a", dim_a), ("dim_b", dim_b)):
+        if type(dim) is not int:  # JSON integers only: not 2.0, true or "2"
+            raise StateFileError(f"{path}: malformed {context}: {key} must be an integer, got {dim!r}")
     try:
-        dim_a = int(node["dim_a"])
-        dim_b = int(node["dim_b"])
         pairs = [(float(re), float(im)) for re, im in node["re_im"]]
     except (TypeError, ValueError) as exc:
         raise StateFileError(f"{path}: malformed {context}: {exc}") from exc
@@ -51,26 +56,44 @@ def _load_json(path):
         raise StateFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def load_state(path):
-    """Load a pure state or a Schmidt spectrum; exactly one must be present."""
+def _parse_state_file(path, accepted):
+    """Read a state file once and parse its one representation, which must be in ``accepted``.
+
+    "amplitudes" gives a PureState, "schmidt" a SchmidtSpectrum, "density" (DensityMatrix, dim_a, dim_b).
+    """
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be an object")
-    present = [key for key in ("amplitudes", "schmidt", "density") if key in doc]
-    if present == ["amplitudes"]:
-        dim_a, dim_b, vec = _complex_array(doc["amplitudes"], path, "amplitudes")
-        try:
-            return PureState(dim_a, dim_b, vec)
-        except ValueError as exc:
-            raise StateFileError(f"{path}: invalid pure state: {exc}") from exc
-    if present == ["schmidt"]:
+    present = [key for key in _REPRESENTATIONS if key in doc]
+    if len(present) != 1 or present[0] not in accepted:
+        names = ", ".join(repr(key) for key in accepted[:-1]) + f" or {accepted[-1]!r}"
+        raise StateFileError(f"{path}: expected exactly one of {names}, found {present or 'neither'}")
+    key = present[0]
+    if key == "schmidt":
         try:
             return SchmidtSpectrum(np.asarray(doc["schmidt"], dtype=float))
         except (TypeError, ValueError) as exc:
             raise StateFileError(f"{path}: invalid schmidt spectrum: {exc}") from exc
-    raise StateFileError(
-        f"{path}: expected exactly one of 'amplitudes' or 'schmidt', found {present or 'neither'}"
-    )
+    dim_a, dim_b, vec = _complex_array(doc[key], path, key)
+    if key == "amplitudes":
+        try:
+            return PureState(dim_a, dim_b, vec)
+        except ValueError as exc:
+            raise StateFileError(f"{path}: invalid pure state: {exc}") from exc
+    d = dim_a * dim_b
+    if vec.size != d * d:
+        raise StateFileError(f"{path}: density has {vec.size} entries, expected {d * d}")
+    try:
+        if dim_a < 1 or dim_b < 1:
+            raise ValueError("local dimensions must be positive")
+        return DensityMatrix(d, vec.reshape(d, d)), dim_a, dim_b
+    except ValueError as exc:
+        raise StateFileError(f"{path}: invalid density input: {exc}") from exc
+
+
+def load_state(path):
+    """Load a pure state or a Schmidt spectrum; exactly one must be present."""
+    return _parse_state_file(path, ("amplitudes", "schmidt"))
 
 
 def load_bipartite_density(path):
@@ -79,36 +102,11 @@ def load_bipartite_density(path):
     Pure amplitudes become their projector; a bare Schmidt spectrum is
     realized canonically on C^r (x) C^r.
     """
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise StateFileError(f"{path}: top level must be an object")
-    present = [key for key in ("amplitudes", "schmidt", "density") if key in doc]
-    if len(present) != 1:
-        raise StateFileError(
-            f"{path}: expected exactly one of 'amplitudes', 'schmidt' or 'density', "
-            f"found {present or 'neither'}"
-        )
-    from .states import density_of
-
-    try:
-        if present == ["density"]:
-            dim_a, dim_b, vec = _complex_array(doc["density"], path, "density")
-            d = dim_a * dim_b
-            if vec.size != d * d:
-                raise StateFileError(
-                    f"{path}: density has {vec.size} entries, expected {d * d}"
-                )
-            return DensityMatrix(d, vec.reshape(d, d)), dim_a, dim_b
-        if present == ["amplitudes"]:
-            psi = load_state(path)
-            return density_of(psi), psi.dim_a, psi.dim_b
-        spectrum = load_state(path)
-        psi = PureState.from_schmidt_values(spectrum.values)
-        return density_of(psi), psi.dim_a, psi.dim_b
-    except StateFileError:
-        raise
-    except ValueError as exc:
-        raise StateFileError(f"{path}: invalid density input: {exc}") from exc
+    loaded = _parse_state_file(path, _REPRESENTATIONS)
+    if isinstance(loaded, tuple):
+        return loaded
+    psi = loaded if isinstance(loaded, PureState) else PureState.from_schmidt_values(loaded.values)
+    return density_of(psi), psi.dim_a, psi.dim_b
 
 
 def _amplitude_node(psi: PureState) -> dict:

@@ -17,6 +17,7 @@ HERM_TOL = 1e-10
 EIGVAL_FLOOR = -1e-10
 PROB_TOL = 1e-9
 SPECTRUM_CLAMP = 1e-12
+OUTCOME_FLOOR = 1e-14  # outcomes and ensemble members of smaller weight are impossible
 
 
 def ensure_rng(seed) -> np.random.Generator:
@@ -155,14 +156,18 @@ def density_of(psi: PureState) -> DensityMatrix:
     return DensityMatrix(a.size, np.outer(a, a.conj()))
 
 
+def _matrix_of(state) -> np.ndarray:
+    """Density matrix entries of a PureState, DensityMatrix or raw array."""
+    if isinstance(state, PureState):
+        return density_of(state).entries
+    return state.entries if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
+
+
 def _to_matrix(state, dim_a, dim_b):
     """Normalize the (state, dims) calling conventions to (matrix, dim_a, dim_b)."""
+    m = _matrix_of(state)
     if isinstance(state, PureState):
-        return density_of(state).entries, state.dim_a, state.dim_b
-    if isinstance(state, DensityMatrix):
-        m = state.entries
-    else:
-        m = np.asarray(state, dtype=complex)
+        return m, state.dim_a, state.dim_b
     if dim_a is None or dim_b is None:
         raise ValueError("dim_a and dim_b are required for matrix input")
     if m.shape != (dim_a * dim_b, dim_a * dim_b):
@@ -202,23 +207,35 @@ def schmidt(psi: PureState):
     vectors:  psi = sum_k sqrt(values[k]) |a_k>|b_k>  up to a global phase.
     """
     u, s, vh = np.linalg.svd(psi.coefficient_matrix, full_matrices=False)
+    return SchmidtSpectrum(_clamped_squares(s)), u, vh.T
+
+
+def _clamped_squares(s: np.ndarray) -> np.ndarray:
+    """Squared singular values, those below ``SPECTRUM_CLAMP`` set to zero."""
     values = s * s
     values[values < SPECTRUM_CLAMP] = 0.0
-    return SchmidtSpectrum(values), u, vh.T
+    return values
 
 
 def schmidt_spectrum(psi: PureState) -> SchmidtSpectrum:
     return schmidt(psi)[0]
 
 
-def apply_kraus(rho, ops, dim_out=None):
+def apply_kraus(rho, ops):
     """Apply a set of Kraus operators on the full space: sum_j O_j rho O_j^dag.
 
     Returns the normalized output state and its trace (the outcome
-    probability).  Raises when the outcome probability is below 1e-14
-    ("impossible outcome") or above 1 + 1e-9.
+    probability).  Raises when the outcome probability is below
+    ``OUTCOME_FLOOR`` ("impossible outcome") or above 1 + 1e-9.
     """
-    mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    out, p = _kraus_outcome(_matrix_of(rho), ops)
+    if out is None:
+        raise ValueError(f"impossible outcome: output trace below {OUTCOME_FLOOR:g}")
+    return out, p
+
+
+def _kraus_outcome(mat: np.ndarray, ops):
+    """(normalized sum_j O_j mat O_j^dag, its trace p); the state is None below ``OUTCOME_FLOOR``."""
     out = None
     for op in ops:
         op = np.asarray(op, dtype=complex)
@@ -227,8 +244,8 @@ def apply_kraus(rho, ops, dim_out=None):
     if out is None:
         raise ValueError("no Kraus operators given")
     p = float(np.real(np.trace(out)))
-    if p < 1e-14:
-        raise ValueError("impossible outcome: output trace below 1e-14")
+    if p < OUTCOME_FLOOR:
+        return None, p
     if p > 1.0 + PROB_TOL:
         raise ValueError(f"outcome probability {p!r} exceeds 1; operators are not trace non-increasing")
     out = out / p
@@ -259,9 +276,14 @@ def maximally_entangled(n: int) -> PureState:
 def haar_unitary(dim: int, rng=None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     rng = ensure_rng(rng)
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return _phase_fixed_qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR, phases fixed so R's nonzero diagonal is positive (Haar for Gaussian z)."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
     return q * (d / np.abs(d))
 
 

@@ -69,6 +69,18 @@ class TestSchmidtCommand:
         doc.write_text("{}")
         assert main(["schmidt", str(doc)]) == 2
 
+    @pytest.mark.parametrize("dim_a", [2.9, True, "2", 2.0])
+    def test_non_integral_dimension_exits_2(self, dim_a, tmp_path, capsys):
+        doc = json.loads(json.dumps(BELL_DOC))
+        doc["amplitudes"]["dim_a"] = dim_a
+        path = tmp_path / "bad_dims.json"
+        path.write_text(json.dumps(doc))
+        assert main(["schmidt", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "dim_a must be an integer" in captured.err
+
 
 class TestBoundCommand:
     def test_worked_pair(self, files, tmp_path, capsys):
@@ -160,6 +172,14 @@ class TestRoofCommand:
     def test_pure_state_input(self, files, capsys):
         assert main(["roof", files["bell"], "--restarts", "2", "--iterations", "50"]) == 0
         assert "1.0000" in capsys.readouterr().out
+
+    def test_non_integral_density_dimension_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(MIXED_DOC))
+        doc["density"]["dim_b"] = 2.5
+        path = tmp_path / "bad_dims.json"
+        path.write_text(json.dumps(doc))
+        assert main(["roof", str(path)]) == 2
+        assert "dim_b must be an integer" in capsys.readouterr().err
 
 
 class TestGoldenContracts:

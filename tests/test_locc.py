@@ -127,6 +127,48 @@ class TestApplyUnilocal:
         assert sum(p for p, _ in ensemble) == pytest.approx(1.0, abs=1e-12)
 
 
+def _random_kraus(dim_in, dim_out, n_out, rng):
+    """n_out operators dim_in -> dim_out with sum K^dag K = I: blocks of an isometry."""
+    iso = haar_unitary(dim_out * n_out, rng)[:, :dim_in]
+    return [iso[k * dim_out:(k + 1) * dim_out] for k in range(n_out)]
+
+
+class TestPureStatePath:
+    """Pure inputs are transformed on the coefficient matrix, never on the full space."""
+
+    @pytest.mark.parametrize("party", ["A", "B"])
+    @pytest.mark.parametrize("dim_out", [2, 3, 5])
+    def test_matches_kron_reference(self, party, dim_out, rng):
+        dim_a, dim_b = 3, 4
+        for _ in range(5):
+            psi = random_pure_state(dim_a, dim_b, rng)
+            kraus = _random_kraus(dim_a if party == "A" else dim_b, dim_out, 3, rng)
+            op = UnilocalOperation(party, tuple((str(k), (K,)) for k, K in enumerate(kraus)))
+            ensemble = apply_unilocal(psi, op)
+            assert len(ensemble) == len(kraus)
+            for (p, out), K in zip(ensemble, kraus):
+                full = np.kron(K, np.eye(dim_b)) if party == "A" else np.kron(np.eye(dim_a), K)
+                vec = full @ psi.amplitudes
+                weight = float(np.vdot(vec, vec).real)
+                ref = vec / np.sqrt(weight)
+                assert isinstance(out, PureState)
+                assert (out.dim_a, out.dim_b) == ((dim_out, dim_b) if party == "A" else (dim_a, dim_out))
+                assert p == pytest.approx(weight, abs=1e-14)
+                overlap = np.vdot(ref, out.amplitudes)
+                assert np.max(np.abs(out.amplitudes - overlap / abs(overlap) * ref)) <= 1e-14
+
+    @pytest.mark.parametrize("party, expected", [("A", "dim_a=2, state has 3"),
+                                                 ("B", "dim_b=2, state has 4")])
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_wrong_input_dimension_rejected(self, party, expected, pure, rng):
+        psi = random_pure_state(3, 4, rng)
+        op = unilocal_unitary(party, haar_unitary(2, rng))
+        state, dims = (psi, (None, None)) if pure else (density_of(psi), (3, 4))
+        with pytest.raises(ValueError, match="dimension mismatch") as info:
+            apply_unilocal(state, op, *dims)
+        assert expected in str(info.value)
+
+
 class TestAncilla:
     def test_bell_plus_pure_ancilla_keeps_entanglement(self):
         anc = DensityMatrix(2, np.diag([1.0, 0.0]).astype(complex))
