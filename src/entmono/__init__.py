@@ -13,7 +13,6 @@ from .conversion import (
     bound_average_yield,
     bound_multicopy,
     bound_single,
-    default_alpha_grid,
     locally_equivalent,
 )
 from .dilution import (
@@ -52,14 +51,12 @@ from .monotones import (
     alpha_entropy_spec,
     delta_e_alpha_of_fidelity,
     e_alpha,
-    entropy_of_entanglement,
     linear_entropy_term,
     monotone_by_name,
     monotone_from_concave,
     renyi_entropy,
     shannon_term,
     trace_fn_spec,
-    validate_monotone_spec,
 )
 from .roof import RoofEstimate, ensemble_from_isometry, isometry_of_ensemble, roof_estimate
 from .statefile import (
@@ -68,7 +65,6 @@ from .statefile import (
     load_certificate,
     load_state,
     save_certificate,
-    save_state,
 )
 from .states import (
     DensityMatrix,
@@ -87,6 +83,5 @@ from .states import (
     random_density_matrix,
     random_pure_state,
     schmidt,
-    schmidt_spectrum,
     tensor_bipartite,
 )

@@ -19,11 +19,6 @@ from .monotones import e_alpha
 from .states import SchmidtSpectrum
 
 DENOMINATOR_FLOOR = 1e-12
-DEFAULT_GRID_POINTS = 201
-
-
-def default_alpha_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    return np.linspace(0.0, 1.0, points)
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,7 @@ def locally_equivalent(s1: SchmidtSpectrum, s2: SchmidtSpectrum, tol: float = 1e
 def _ratio_curve(source: SchmidtSpectrum, target: SchmidtSpectrum, alpha_grid):
     if target.rank() < 2:
         raise ValueError("bound undefined: denominator vanishes (target is separable)")
-    alphas = default_alpha_grid() if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
+    alphas = np.linspace(0.0, 1.0, 201) if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
     raw = []
     for alpha in alphas:
         denom = e_alpha(target, float(alpha))

@@ -387,12 +387,12 @@ def check_c1(monotone, trials: int = 10_000, dims=(4, 4), seed=0,
         n_out = int(rng.integers(2, 5))
         op = random_unilocal_operation(party, dims[0] if party == "A" else dims[1], n_out, rng)
         ensemble = apply_unilocal(psi, op)
-        before_spec = schmidt(psi)[0].values
-        after_specs = [(p, schmidt(state)[0].values) for p, state in ensemble]
+        # one stack: the spectrum before, then one per outcome (all of psi's dims)
+        stack = np.array([schmidt(psi)[0].values] + [schmidt(s)[0].values for _, s in ensemble])
         for spec in specs:
-            before = float(spec.g(before_spec))
-            after = float(sum(p * float(spec.g(vals)) for p, vals in after_specs))
-            report.records.append(TrialRecord(t, spec.name, before, after))
+            values = spec.g(stack)
+            after = float(sum(p * float(v) for (p, _), v in zip(ensemble, values[1:])))
+            report.records.append(TrialRecord(t, spec.name, float(values[0]), after))
     return report
 
 

@@ -49,6 +49,9 @@ def spectrum_of(state_or_spectrum) -> SchmidtSpectrum:
 class MonotoneSpec:
     """A named symmetric concave function on probability simplices.
 
+    ``g`` maps an array of shape (..., n) to values of shape (...), reducing
+    over the last axis: a 1-D spectrum gives one value, and a (k, n) stack of
+    spectra gives the k row values, each equal to g on that row alone.
     ``normalized`` asserts g vanishes on point distributions (1, 0, ..., 0),
     so the induced monotone vanishes on product states.  Calling the spec
     evaluates the induced pure-state monotone: g applied to the Schmidt
@@ -56,38 +59,42 @@ class MonotoneSpec:
     """
 
     name: str
-    g: Callable[[np.ndarray], float]
+    g: Callable[[np.ndarray], np.ndarray | float]
     normalized: bool = True
 
     def __call__(self, state_or_spectrum) -> float:
         return float(self.g(spectrum_of(state_or_spectrum).values))
 
 
-def renyi_entropy(p, alpha: float) -> float:
-    """Order-alpha entropy of a probability vector, in bits.
+def renyi_entropy(p, alpha: float):
+    """Order-alpha entropy of each probability vector along the last axis, in bits.
 
     alpha = 1 is the Shannon entropy (0 log 0 := 0); alpha = 0 is the log of
     the number of entries above ``SPECTRUM_CLAMP``; otherwise
     log2(sum p^alpha) / (1 - alpha).  Within ``ALPHA_ONE_TOL`` of alpha = 1
-    the Shannon branch is used.
+    the Shannon branch is used.  A 1-D vector gives a float, a (..., n) stack
+    an array of shape (...); every row must be a probability vector.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    p = np.asarray(p, dtype=float).reshape(-1)
+    p = np.array(p, dtype=float, ndmin=1)
     if p.size == 0:
         raise ValueError("probability vector must be non-empty")
-    if float(p.min()) < -PROB_NEG_TOL:
+    if p.min() < -PROB_NEG_TOL:
         raise ValueError("probability vector has a negative entry")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-9")
-    p = np.clip(p, 0.0, None)
+    totals = p.sum(axis=-1).reshape(-1)
+    off = totals[abs(totals - 1.0) > 1e-9]
+    if off.size:
+        raise ValueError(f"probabilities sum to {float(off[0])!r}, expected 1 within 1e-9")
+    p = np.maximum(p, 0.0)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        nz = p[p > 0.0]
-        return float(-(nz * np.log2(nz)).sum())
-    if alpha == 0.0:
-        return float(np.log2(np.count_nonzero(p > SPECTRUM_CLAMP)))
-    return float(np.log2(np.sum(p**alpha)) / (1.0 - alpha))
+        # + 0.0 turns the -0.0 of a point distribution into 0.0
+        values = shannon_term(p).sum(axis=-1) + 0.0
+    elif alpha == 0.0:
+        values = np.log2((p > SPECTRUM_CLAMP).sum(axis=-1))
+    else:
+        values = np.log2((p**alpha).sum(axis=-1)) / (1.0 - alpha)
+    return float(values) if p.ndim == 1 else values
 
 
 def e_alpha(state_or_spectrum, alpha: float) -> float:
@@ -95,24 +102,18 @@ def e_alpha(state_or_spectrum, alpha: float) -> float:
     return renyi_entropy(spectrum_of(state_or_spectrum).values, alpha)
 
 
-def entropy_of_entanglement(state_or_spectrum) -> float:
-    return e_alpha(state_or_spectrum, 1.0)
+def monotone_from_concave(spec: MonotoneSpec, samples: int = 10_000, seed=0) -> MonotoneSpec:
+    """Screen a spec on a sampled battery and return it as a pure-state evaluator.
 
-
-def _random_simplex_point(rng, size) -> np.ndarray:
-    return rng.dirichlet(np.ones(size))
-
-
-def validate_monotone_spec(spec: MonotoneSpec, samples: int = 10_000, max_size: int = 6, seed=0) -> None:
-    """Randomized screening of a spec's symmetry, concavity, and normalization.
-
+    The screen covers normalization, permutation symmetry and concavity on
+    simplices of size up to 6, and the stack contract of ``MonotoneSpec.g``.
     A failed sample raises MonotoneValidationError (hard rejection); a pass is
     advisory only, since concavity of an arbitrary function cannot be decided
     by evaluation.
     """
     rng = ensure_rng(seed)
     if spec.normalized:
-        for n in range(1, max_size + 1):
+        for n in range(1, 7):
             point = np.zeros(n)
             point[0] = 1.0
             val = float(spec.g(point))
@@ -122,9 +123,10 @@ def validate_monotone_spec(spec: MonotoneSpec, samples: int = 10_000, max_size: 
                     f"size {n} is {val!r}, expected 0",
                     sample=point,
                 )
+    drawn = {}  # simplex size -> [(x, g(x)), ...]
     for _ in range(samples):
-        n = int(rng.integers(2, max_size + 1))
-        x = _random_simplex_point(rng, n)
+        n = int(rng.integers(2, 7))
+        x = rng.dirichlet(np.ones(n))
         perm = rng.permutation(n)
         gx = float(spec.g(x))
         if abs(gx - float(spec.g(x[perm]))) > SYMMETRY_TOL:
@@ -132,7 +134,7 @@ def validate_monotone_spec(spec: MonotoneSpec, samples: int = 10_000, max_size: 
                 f"not a valid monotone spec ({spec.name}): not permutation symmetric",
                 sample=(x, perm),
             )
-        y = _random_simplex_point(rng, n)
+        y = rng.dirichlet(np.ones(n))
         lam = float(rng.uniform())
         mix = lam * x + (1.0 - lam) * y
         if float(spec.g(mix)) < lam * gx + (1.0 - lam) * float(spec.g(y)) - CONCAVITY_SLACK:
@@ -140,47 +142,55 @@ def validate_monotone_spec(spec: MonotoneSpec, samples: int = 10_000, max_size: 
                 f"not a valid monotone spec ({spec.name}): concavity violated at lambda={lam!r}",
                 sample=(x, y, lam),
             )
-
-
-def monotone_from_concave(spec: MonotoneSpec, samples: int = 10_000, seed=0) -> MonotoneSpec:
-    """Validate a spec on a sampled battery and return it as a pure-state evaluator."""
-    validate_monotone_spec(spec, samples=samples, seed=seed)
+        drawn.setdefault(n, []).append((x, gx))
+    for n, pairs in drawn.items():
+        stack = np.array([x for x, _ in pairs])
+        if not np.array_equal(np.asarray(spec.g(stack), dtype=float), [gx for _, gx in pairs],
+                              equal_nan=True):
+            raise MonotoneValidationError(
+                f"not a valid monotone spec ({spec.name}): g must map a (k, {n}) stack of "
+                f"spectra to its k row values",
+                sample=stack,
+            )
     return spec
 
 
-def trace_fn_spec(f_hat: Callable[[float], float], name: str = "trace_fn",
+def trace_fn_spec(f_hat: Callable[[np.ndarray], np.ndarray], name: str = "trace_fn",
                   samples: int = 2000, seed=0) -> MonotoneSpec:
     """Spec g(p) = sum_i f_hat(p_i) for f_hat concave on [0, 1] with f_hat(0) = f_hat(1) = 0.
 
-    The endpoint conditions make g vanish on point distributions and keep it
-    insensitive to zero-padding of the spectrum.
+    ``f_hat`` must act elementwise on arrays.  The endpoint conditions make g
+    vanish on point distributions and keep it insensitive to zero-padding of
+    the spectrum.  The sum runs left to right along the last axis.
     """
     for endpoint in (0.0, 1.0):
         val = float(f_hat(endpoint))
         if abs(val) > NORMALIZATION_TOL:
             raise ValueError(f"f_hat({endpoint}) = {val!r}, expected 0")
-    rng = ensure_rng(seed)
-    for _ in range(samples):
-        x, y = rng.uniform(size=2)
-        lam = float(rng.uniform())
-        mix = lam * x + (1.0 - lam) * y
-        if float(f_hat(mix)) < lam * float(f_hat(x)) + (1.0 - lam) * float(f_hat(y)) - CONCAVITY_SLACK:
-            raise ValueError(
-                f"f_hat failed a concavity sample at x={x!r}, y={y!r}, lambda={lam!r}"
-            )
+    # per sample: x, y, then lambda, in the generator's draw order
+    x, y, lam = np.ascontiguousarray(ensure_rng(seed).uniform(size=(samples, 3)).T)
+    mix = lam * x + (1.0 - lam) * y
+    failed = np.flatnonzero(f_hat(mix) < lam * f_hat(x) + (1.0 - lam) * f_hat(y) - CONCAVITY_SLACK)
+    if failed.size:
+        i = failed[0]
+        raise ValueError(
+            f"f_hat failed a concavity sample at x={x[i]!r}, y={y[i]!r}, lambda={float(lam[i])!r}"
+        )
 
-    def g(p: np.ndarray) -> float:
-        return float(sum(f_hat(float(v)) for v in np.asarray(p, dtype=float).reshape(-1)))
+    def g(p: np.ndarray) -> np.ndarray:
+        return np.add.accumulate(f_hat(np.asarray(p, dtype=float)), axis=-1)[..., -1] + 0.0
 
     return MonotoneSpec(name=name, g=g, normalized=True)
 
 
-def shannon_term(x: float) -> float:
-    return 0.0 if x <= 0.0 else float(-x * np.log2(x))
+def shannon_term(x):
+    """-x log2 x elementwise, 0 where x <= 0."""
+    return -x * np.log2(np.where(x > 0.0, x, 1.0))
 
 
-def linear_entropy_term(x: float) -> float:
-    return float(x * (1.0 - x))
+def linear_entropy_term(x):
+    """x (1 - x) elementwise."""
+    return x * (1.0 - x)
 
 
 def delta_e_alpha_of_fidelity(fidelity: float, alpha: float) -> float:
@@ -195,11 +205,9 @@ def delta_e_alpha_of_fidelity(fidelity: float, alpha: float) -> float:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must lie in [0, 1], got {fidelity!r}")
-    if alpha == 0.0:
+    if alpha == 0.0:  # unlike renyi_entropy's clamp count, 1 for every F strictly inside (0, 1)
         return 0.0 if fidelity in (0.0, 1.0) else 1.0
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return shannon_term(fidelity) + shannon_term(1.0 - fidelity)
-    return float(np.log2(fidelity**alpha + (1.0 - fidelity) ** alpha) / (1.0 - alpha))
+    return renyi_entropy([fidelity, 1.0 - fidelity], alpha)
 
 
 def alpha_entropy_spec(alpha: float, name=None) -> MonotoneSpec:
@@ -215,8 +223,8 @@ _TRACE_FN_BUILTINS = {
 }
 
 
-def _sum_of_squares(p: np.ndarray) -> float:
-    return float(np.sum(np.asarray(p, dtype=float) ** 2))
+def _sum_of_squares(p: np.ndarray) -> np.ndarray:
+    return np.sum(np.asarray(p, dtype=float) ** 2, axis=-1)
 
 
 def monotone_by_name(name: str) -> MonotoneSpec:

@@ -128,11 +128,12 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
     basis_t = evecs.T
 
     def objective(v: np.ndarray) -> float:
-        total = 0.0
-        for p, unit in _members(v, sqrt_lam, basis_t):
-            vals = _clamped_squares(np.linalg.svd(unit.reshape(dim_a, dim_b), compute_uv=False))
-            total += p * float(spec.g(vals / vals.sum()))
-        return total
+        members = list(_members(v, sqrt_lam, basis_t))
+        units = np.array([unit for _, unit in members]).reshape(-1, dim_a, dim_b)
+        vals = _clamped_squares(np.linalg.svd(units, compute_uv=False))
+        values = spec.g(vals / vals.sum(axis=-1, keepdims=True))
+        # one term at a time in member order; a pairwise sum would round accept decisions differently
+        return sum(p * float(value) for (p, _), value in zip(members, values))
 
     starts = [_eye_isometry(m, rank)]
     for v0 in initial_isometries or ():

@@ -28,6 +28,14 @@ class StateFileError(ValueError):
     """Raised when a state file cannot be parsed or violates its schema."""
 
 
+def _floats(items, what, length=None):
+    """Entries of a JSON list of numbers as floats; booleans and strings are not numbers."""
+    if (not isinstance(items, list) or len(items) != (length or len(items))
+            or any(type(item) not in (int, float) for item in items)):
+        raise ValueError(f"{what}, got {items!r}")
+    return [float(item) for item in items]
+
+
 def _complex_array(node, path, context):
     if not isinstance(node, dict):
         raise StateFileError(f"{path}: {context} must be an object")
@@ -39,8 +47,8 @@ def _complex_array(node, path, context):
         if type(dim) is not int:  # JSON integers only: not 2.0, true or "2"
             raise StateFileError(f"{path}: malformed {context}: {key} must be an integer, got {dim!r}")
     try:
-        pairs = [(float(re), float(im)) for re, im in node["re_im"]]
-    except (TypeError, ValueError) as exc:
+        pairs = [_floats(pair, "each re_im item must be a list of 2 numbers", 2) for pair in node["re_im"]]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"{path}: malformed {context}: {exc}") from exc
     vec = np.array([re + 1j * im for re, im in pairs])
     return dim_a, dim_b, vec
@@ -71,8 +79,8 @@ def _parse_state_file(path, accepted):
     key = present[0]
     if key == "schmidt":
         try:
-            return SchmidtSpectrum(np.asarray(doc["schmidt"], dtype=float))
-        except (TypeError, ValueError) as exc:
+            return SchmidtSpectrum(np.array(_floats(doc["schmidt"], "expected a list of numbers")))
+        except (ValueError, OverflowError) as exc:
             raise StateFileError(f"{path}: invalid schmidt spectrum: {exc}") from exc
     dim_a, dim_b, vec = _complex_array(doc[key], path, key)
     if key == "amplitudes":
@@ -115,15 +123,6 @@ def _amplitude_node(psi: PureState) -> dict:
         "dim_b": psi.dim_b,
         "re_im": [[float(z.real), float(z.imag)] for z in psi.amplitudes],
     }
-
-
-def save_state(path, psi: PureState, label=None) -> None:
-    doc = {"amplitudes": _amplitude_node(psi)}
-    if label:
-        doc["label"] = label
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 def save_certificate(path, estimate, monotone_name: str, label=None) -> None:

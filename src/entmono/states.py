@@ -217,10 +217,6 @@ def _clamped_squares(s: np.ndarray) -> np.ndarray:
     return values
 
 
-def schmidt_spectrum(psi: PureState) -> SchmidtSpectrum:
-    return schmidt(psi)[0]
-
-
 def apply_kraus(rho, ops):
     """Apply a set of Kraus operators on the full space: sum_j O_j rho O_j^dag.
 

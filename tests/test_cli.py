@@ -82,6 +82,31 @@ class TestSchmidtCommand:
         assert "dim_a must be an integer" in captured.err
 
 
+    @pytest.mark.parametrize("doc", [
+        {"schmidt": "1"},
+        {"schmidt": True},
+        {"schmidt": [True, False]},
+        {"amplitudes": {"dim_a": 1, "dim_b": 1, "re_im": ["10"]}},
+    ], ids=["string-spectrum", "true-spectrum", "boolean-entries", "string-re-im"])
+    def test_non_number_entries_exit_2(self, doc, tmp_path, capsys):
+        path = tmp_path / "not_numbers.json"
+        path.write_text(json.dumps(doc))
+        assert main(["schmidt", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_product_state_entropy_is_positive_zero(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BELL_DOC))
+        doc["amplitudes"]["re_im"] = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "product.csv"
+        assert main(["schmidt", str(path), "--alphas", "1", "--csv", str(out)]) == 0
+        assert "E_1 = 0.0000" in capsys.readouterr().out
+        assert out.read_text() == "alpha,e_alpha\n1,0\n"
+
+
 class TestBoundCommand:
     def test_worked_pair(self, files, tmp_path, capsys):
         out = tmp_path / "curve.csv"

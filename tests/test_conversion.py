@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmono import (
     ConversionBound,
@@ -98,6 +102,46 @@ class TestBoundSingle:
             ConversionBound(value=0.5, minimizing_alpha=0.5, per_alpha_curve=((0.5, 0.9),))
         with pytest.raises(ValueError, match="negative"):
             ConversionBound(value=-0.1, minimizing_alpha=0.5, per_alpha_curve=((0.5, -0.1),))
+
+
+def exact_pair(source, target):
+    """Both spectra as Fractions, zero-padded to one length and normalized exactly."""
+    n = max(source.size, target.size)
+    pair = []
+    for s in (source, target):
+        v = [Fraction(float(x)) for x in s] + [Fraction(0)] * (n - s.size)
+        pair.append([x / sum(v) for x in v])
+    return pair
+
+
+def vidal_probability(a, b) -> Fraction:
+    """Optimal single-copy conversion probability a -> b (Vidal, PRL 83, 1046).
+
+    P = min over l of E_l(a) / E_l(b), with E_l the sum of the descending
+    squared Schmidt coefficients from the l-th on.
+    """
+    return min(sum(a[l:]) / sum(b[l:]) for l in range(len(b)) if sum(b[l:]) > 0)
+
+
+def majorizes(b, a) -> bool:
+    """Whether every head sum of b is at least that of a."""
+    return all(sum(b[:k]) >= sum(a[:k]) for k in range(1, len(a) + 1))
+
+
+@st.composite
+def spectra(draw):
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5)))
+    return SchmidtSpectrum(weights / weights.sum())
+
+
+class TestVidalOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(source=spectra(), target=spectra())
+    def test_bound_never_below_optimal_probability(self, source, target):
+        a, b = exact_pair(source.values, target.values)
+        p = vidal_probability(a, b)
+        assert bound_single(source, target).value >= float(p) - 1e-12
+        assert majorizes(b, a) == (p == 1)
 
 
 class TestMultiCopy:

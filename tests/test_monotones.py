@@ -162,6 +162,11 @@ class TestMonotoneSpecValidation:
         with pytest.raises(MonotoneValidationError, match="point distribution"):
             monotone_from_concave(shifted, samples=100)
 
+    def test_g_with_one_scalar_for_a_stack_rejected(self):
+        scalar = MonotoneSpec("scalar", g=lambda p: float(np.sum(linear_entropy_term(np.asarray(p)))))
+        with pytest.raises(MonotoneValidationError, match="stack of spectra"):
+            monotone_from_concave(scalar, samples=200)
+
     def test_validation_error_carries_sample(self):
         convex = MonotoneSpec("sum-squares", g=lambda p: float(np.sum(p**2)), normalized=False)
         try:
@@ -212,6 +217,47 @@ class TestDeltaEAlpha:
             delta_e_alpha_of_fidelity(1.2, 0.5)
         with pytest.raises(ValueError):
             delta_e_alpha_of_fidelity(0.5, 2.0)
+
+
+NORMALIZED = ("e0", "e1", "e_alpha:0.5", "e_alpha:0.9999999999999", "trace_fn:shannon",
+              "trace_fn:linear")
+REGISTRY_NAMES = st.one_of(
+    st.sampled_from(NORMALIZED + ("control:sum_squares",)),
+    st.floats(0.0, 1.0).map(lambda a: f"e_alpha:{a!r}"),
+)
+
+
+@st.composite
+def simplex_stacks(draw):
+    """A (k, n) stack of probability vectors, zero entries included."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    entry = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    weights = np.array(draw(st.lists(entry, min_size=k * n, max_size=k * n))).reshape(k, n)
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestStackContract:
+    @settings(max_examples=300, deadline=None)
+    @given(name=REGISTRY_NAMES, stack=simplex_stacks())
+    def test_g_of_a_stack_is_its_row_values(self, name, stack):
+        spec = monotone_by_name(name)
+        assert np.array_equal(spec.g(stack), [spec.g(row) for row in stack])
+
+    @pytest.mark.parametrize("name", NORMALIZED)  # the convex control is 1 there
+    def test_point_distributions_give_positive_zero(self, name):
+        spec = monotone_by_name(name)
+        for n in range(1, 7):
+            for point in np.eye(n):
+                value = spec.g(point)
+                assert value == 0.0 and not np.signbit(value)
+            assert not np.any(np.signbit(spec.g(np.eye(n))))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0 - 1e-13, 1.0])
+    def test_delta_e_alpha_endpoints_give_positive_zero(self, alpha):
+        for fidelity in (0.0, 1.0):
+            value = delta_e_alpha_of_fidelity(fidelity, alpha)
+            assert value == 0.0 and not np.signbit(value)
 
 
 class TestRegistry:

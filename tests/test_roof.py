@@ -7,6 +7,7 @@ from entmono import (
     ensemble_from_isometry,
     isometry_of_ensemble,
     maximally_entangled,
+    random_density_matrix,
     random_pure_state,
     roof_estimate,
 )
@@ -22,6 +23,21 @@ E1 = alpha_entropy_spec(1.0)
 # isometries of sizes 3 and 4, run once and frozen.  It also matches the
 # two-qubit concurrence closed form to 3e-16.
 BENCHMARK_ORACLE = 0.354578902665
+
+
+def wootters_eof(rho: np.ndarray) -> float:
+    """Entanglement of formation of a two-qubit density matrix in bits (Wootters, PRL 80, 2245).
+
+    The concurrence is C = max(0, l1 - l2 - l3 - l4), with l_i the descending
+    square roots of the eigenvalues of rho (Y (x) Y) rho* (Y (x) Y), and the
+    EoF is the binary entropy of (1 + sqrt(1 - C^2)) / 2.
+    """
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    eigs = np.linalg.eigvals(rho @ yy @ rho.conj() @ yy).real
+    lam = np.sqrt(np.clip(np.sort(eigs)[::-1], 0.0, None))
+    c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    x = 0.5 * (1.0 + np.sqrt(1.0 - c * c))
+    return 0.0 if x >= 1.0 else float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
 def benchmark_state() -> DensityMatrix:
@@ -125,6 +141,13 @@ class TestRoofEstimate:
                             initial_isometries=[seed_iso])
         weighted = q * certs[0].value + (1 - q) * certs[1].value
         assert est.value <= weighted + 1e-6
+
+    def test_never_below_wootters_eof(self, rng):
+        assert wootters_eof(benchmark_state().entries) == pytest.approx(BENCHMARK_ORACLE, abs=1e-12)
+        for rank in (2, 2, 3, 3, 4, 4):
+            rho = random_density_matrix(4, rng, rank=rank)
+            est = roof_estimate(rho, 2, 2, E1, restarts=2, iterations=100, seed=rng)
+            assert est.value >= wootters_eof(rho.entries) - 1e-9
 
     def test_m_below_rank_rejected(self):
         with pytest.raises(ValueError, match="below the rank"):

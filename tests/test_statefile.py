@@ -3,15 +3,17 @@
 Documents are drawn from a small grammar: the three representation keys
 ("amplitudes", "schmidt", "density") alone, together or missing, extra keys,
 values of the wrong type, non-integral dimensions, NaN and infinite numbers,
-and entry lists of the wrong length.  Every document must either load or raise
-StateFileError, and the two loaders must agree on the documents they share.
+strings and booleans in place of numbers, and entry lists of the wrong length.
+Every document must either load or raise StateFileError, a document that loads
+holds only JSON numbers where numbers belong, and the two loaders must agree
+on the documents they share.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmono import (
@@ -27,8 +29,9 @@ NUMBER = st.one_of(
     st.floats(-1.5, 1.5),
     st.sampled_from([float("nan"), float("inf"), float("-inf")]),
 )
+NOT_A_NUMBER = st.sampled_from(["1", "10", "0.5", True, False])
 JUNK = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 3), NUMBER, st.text(max_size=3),
+    st.none(), NOT_A_NUMBER, st.integers(-3, 3), NUMBER, st.text(max_size=3),
     st.lists(st.integers(0, 2), max_size=2),
     st.dictionaries(st.sampled_from(["dim_a", "re_im", "x"]), st.integers(0, 2), max_size=2),
 )
@@ -46,11 +49,17 @@ def unit_vector(draw, size):
     return vec / norm
 
 
+def disguised(value):
+    """A string, or for 0 and 1 also a boolean, that float() reads as ``value``."""
+    return st.sampled_from([repr(value)] + ([bool(value)] if value in (0.0, 1.0) else []))
+
+
 @st.composite
 def corrupted(draw, entries):
-    """``entries`` (a list), sometimes one entry short or long, or with a NaN/inf or junk entry."""
+    """``entries`` (a list), sometimes one entry short or long, or with a NaN/inf, non-number or junk entry."""
     entries = list(entries)
-    change = draw(st.sampled_from(["none"] * 6 + ["short", "long", "number", "junk"]))
+    change = draw(st.sampled_from(["none"] * 6 + ["short", "long", "number", "junk"]
+                                  + ["not-number"] * 3))
     if change == "short" and entries:
         entries.pop()
     elif change == "long":
@@ -59,6 +68,16 @@ def corrupted(draw, entries):
         value = draw(NUMBER)
         k = draw(st.integers(0, len(entries) - 1))
         entries[k] = [value, entries[k][1]] if isinstance(entries[k], list) else value
+    elif change == "not-number" and entries:
+        k = draw(st.integers(0, len(entries) - 1))
+        entry = entries[k]
+        if not isinstance(entry, list):
+            entries[k] = draw(disguised(entry))
+        elif entry in ([1.0, 0.0], [0.0, 0.0]) and draw(st.booleans()):
+            entries[k] = f"{entry[0]:.0f}{entry[1]:.0f}"  # a string that unpacks into two digits
+        else:
+            j = draw(st.integers(0, 1))
+            entries[k] = [draw(disguised(v)) if i == j else v for i, v in enumerate(entry)]
     elif change == "junk" and entries:
         entries[draw(st.integers(0, len(entries) - 1))] = draw(JUNK)
     return entries
@@ -112,6 +131,18 @@ def documents(draw):
     return doc
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _numbers_in_place(doc, key) -> bool:
+    """Whether the loaded node's schmidt entries, or its re_im [re, im] pairs, are all JSON numbers."""
+    if key == "schmidt":
+        return isinstance(doc[key], list) and all(map(_is_number, doc[key]))
+    return all(isinstance(z, list) and len(z) == 2 and all(map(_is_number, z))
+               for z in doc[key]["re_im"])
+
+
 def _load(loader, path):
     """(result, None) if ``loader`` loads the file, (None, error) if it raises StateFileError."""
     try:
@@ -122,6 +153,11 @@ def _load(loader, path):
 
 @settings(max_examples=400, deadline=None)
 @given(doc=documents())
+@example(doc={"schmidt": "1"})
+@example(doc={"schmidt": True})
+@example(doc={"schmidt": [True, False]})
+@example(doc={"amplitudes": {"dim_a": 1, "dim_b": 1, "re_im": ["10"]}})
+@example(doc={"amplitudes": {"dim_a": 1, "dim_b": 1, "re_im": [["1", 0.0]]}})
 def test_loaders_load_or_raise_state_file_error(doc, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "drawn_state.json"
     path.write_text(json.dumps(doc))
@@ -133,6 +169,7 @@ def test_loaders_load_or_raise_state_file_error(doc, tmp_path_factory):
         rho, dim_a, dim_b = density
         assert type(dim_a) is int and type(dim_b) is int and dim_a >= 1 and dim_b >= 1
         assert rho.dim == dim_a * dim_b and np.all(np.isfinite(rho.entries))
+        assert _numbers_in_place(doc, present[0])
     if present in (["amplitudes"], ["schmidt"]):
         assert (state_error is None) == (density_error is None)
         if state_error is not None:
