@@ -8,6 +8,11 @@ search that manifold with a derivative-free random-rotation descent and
 return the best ensemble found.  The result is always a true upper bound on
 the roof (it is the exact average of an explicit realizing ensemble); global
 optimality is never claimed.
+
+The restarts of one search advance in lockstep, each on its own generator,
+and give results identical to running them one after another.  A rotation
+changes two rows of V, so a step re-evaluates only those two members of each
+restart and re-sums the cached terms of the rest.
 """
 
 from __future__ import annotations
@@ -102,6 +107,30 @@ def _eye_isometry(m: int, r: int) -> np.ndarray:
     return v
 
 
+def _member_terms(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray, spec: MonotoneSpec,
+                  dim_a: int, dim_b: int) -> np.ndarray:
+    """p_j * g(spectrum_j) for each row j of the stacked isometries ``v`` (..., k, rank).
+
+    Rows below ``OUTCOME_FLOOR`` give +0.0.  Weights, units and spectra are
+    bitwise those of ``_members`` and a one-member evaluation, so summing the
+    terms of one isometry left to right gives its ensemble average.
+    """
+    phi = (v * sqrt_lam) @ evecs_t
+    p = (phi.conj()[..., None, :] @ phi[..., :, None]).real[..., 0, 0]
+
+    def g_of_units(units):
+        vals = _clamped_squares(np.linalg.svd(units.reshape(-1, dim_a, dim_b), compute_uv=False))
+        return spec.g(vals / vals.sum(axis=-1, keepdims=True))
+
+    keep = p >= OUTCOME_FLOOR
+    if keep.all():
+        return p * g_of_units(phi / np.sqrt(p)[..., None]).reshape(p.shape)
+    terms = np.zeros(p.shape)
+    if keep.any():
+        terms[keep] = p[keep] * g_of_units(phi[keep] / np.sqrt(p[keep])[:, None])
+    return terms
+
+
 def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec,
                   m=None, restarts: int = 8, iterations: int = 600, seed=0,
                   initial_isometries=None) -> RoofEstimate:
@@ -113,6 +142,13 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
     supplied initial isometry gets its own run (even past the restart budget),
     and the remaining restarts are random.  Restarts use derived seeds, so the
     best value is non-increasing in the restart count for a fixed master seed.
+
+    All restarts advance in lockstep, each drawing from its own generator, so
+    the result is identical to running them one after another.  Each restart
+    caches its members' terms p_j g_j; a step re-evaluates only the two
+    members its rotation changed, with one stacked SVD and one ``spec.g``
+    call across all restarts, and sums the terms left to right in member
+    order.
     """
     if rho.dim != dim_a * dim_b:
         raise ValueError(f"rho has dimension {rho.dim}, expected {dim_a * dim_b}")
@@ -126,62 +162,57 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
 
     sqrt_lam = np.sqrt(lam)
     basis_t = evecs.T
-
-    def objective(v: np.ndarray) -> float:
-        members = list(_members(v, sqrt_lam, basis_t))
-        units = np.array([unit for _, unit in members]).reshape(-1, dim_a, dim_b)
-        vals = _clamped_squares(np.linalg.svd(units, compute_uv=False))
-        values = spec.g(vals / vals.sum(axis=-1, keepdims=True))
-        # one term at a time in member order; a pairwise sum would round accept decisions differently
-        return sum(p * float(value) for (p, _), value in zip(members, values))
-
-    starts = [_eye_isometry(m, rank)]
-    for v0 in initial_isometries or ():
-        v0 = np.asarray(v0, dtype=complex)
-        if v0.shape[0] < m:
-            pad = np.zeros((m, rank), dtype=complex)
-            pad[: v0.shape[0], :] = v0
-            v0 = pad
-        starts.append(v0)
-
     master = ensure_rng(seed)
+    starts = [_eye_isometry(m, rank)]
+    starts += [np.asarray(v0, dtype=complex) for v0 in initial_isometries or ()]
     n_runs = max(restarts, len(starts), 1)
     children = np.random.SeedSequence(master.integers(2**63)).spawn(n_runs)
+    rngs = [np.random.default_rng(child) for child in children]
+    starts += [_random_isometry(m, rank, rng) for rng in rngs[len(starts):]]
+    # Shorter starts are padded with zero rows, which are members of weight 0.
+    v = np.zeros((n_runs, max(start.shape[0] for start in starts), rank), dtype=complex)
+    for run, start in enumerate(starts):
+        v[run, : start.shape[0]] = start
 
-    best_v = None
-    best_val = np.inf
-    best_tail_gain = 0.0
+    terms = _member_terms(v, sqrt_lam, basis_t, spec, dim_a, dim_b)
+    # accumulate sums each run's terms left to right, in member order; a
+    # pairwise sum would round accept decisions differently
+    current = np.add.accumulate(terms, axis=1)[:, -1]
+    at_checkpoint = current
     checkpoint = int(0.8 * iterations)
-    for ridx in range(n_runs):
-        rng = np.random.default_rng(children[ridx])
-        v = starts[ridx].copy() if ridx < len(starts) else _random_isometry(m, rank, rng)
-        current = objective(v)
-        at_checkpoint = current
-        if m >= 2:
-            decay = (STEP_MIN / STEP0) ** (1.0 / max(iterations, 1))
-            step = STEP0
-            for it in range(iterations):
-                if it == checkpoint:
-                    at_checkpoint = current
-                p_row, q_row = rng.choice(m, size=2, replace=False)
-                theta = rng.normal(scale=step)
-                phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-                c, s = np.cos(theta), np.sin(theta) * phase
-                trial = v.copy()
-                trial[p_row] = c * v[p_row] - np.conj(s) * v[q_row]
-                trial[q_row] = s * v[p_row] + c * v[q_row]
-                val = objective(trial)
-                if val < current:
-                    v, current = trial, val
-                step *= decay
-        if current < best_val:
-            best_val, best_v = current, v.copy()
-            best_tail_gain = at_checkpoint - current
+    if m >= 2:
+        runs = np.arange(n_runs)[:, None]
+        pairs = np.empty((n_runs, 2), dtype=np.intp)
+        theta, angle = np.empty(n_runs), np.empty(n_runs)
+        decay = (STEP_MIN / STEP0) ** (1.0 / max(iterations, 1))
+        step = STEP0
+        for it in range(iterations):
+            if it == checkpoint:
+                at_checkpoint = current
+            for run, rng in enumerate(rngs):
+                pairs[run] = rng.choice(m, size=2, replace=False)
+                theta[run] = rng.normal(scale=step)
+                angle[run] = rng.uniform(0.0, 2.0 * np.pi)
+            c = np.cos(theta)[:, None]
+            s = (np.sin(theta) * np.exp(1j * angle))[:, None]
+            old = v[runs, pairs]
+            rotated = np.stack([c * old[:, 0] - np.conj(s) * old[:, 1],
+                                s * old[:, 0] + c * old[:, 1]], axis=1)
+            trial = terms.copy()
+            trial[runs, pairs] = _member_terms(rotated, sqrt_lam, basis_t, spec, dim_a, dim_b)
+            totals = np.add.accumulate(trial, axis=1)[:, -1]
+            accept = totals < current
+            if accept.any():
+                v[runs[accept], pairs[accept]] = rotated[accept]
+                terms[accept] = trial[accept]
+                current = np.where(accept, totals, current)
+            step *= decay
 
-    members = ensemble_from_isometry(rho, best_v, dim_a, dim_b)
+    best = int(np.argmin(current))  # ties go to the lowest-index restart
+    members = ensemble_from_isometry(rho, v[best], dim_a, dim_b)
     value = float(sum(p * spec(psi) for p, psi in members))
     # Settled when the winning restart gained nothing measurable over its
     # final fifth of iterations.
-    converged = best_tail_gain <= 1e-9
+    converged = at_checkpoint[best] - current[best] <= 1e-9
     return RoofEstimate(value=value, ensemble=tuple(members), restarts=n_runs,
-                        converged=converged, m=m)
+                        converged=bool(converged), m=m)

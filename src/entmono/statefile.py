@@ -154,7 +154,9 @@ def load_certificate(path):
         ensemble = []
         for item in doc["ensemble"]:
             dim_a, dim_b, vec = _complex_array(item["amplitudes"], path, "ensemble amplitudes")
-            ensemble.append((float(item["probability"]), PureState(dim_a, dim_b, vec)))
-        return float(doc["value"]), str(doc.get("monotone", "")), ensemble
-    except (KeyError, TypeError, ValueError) as exc:
+            [probability] = _floats([item["probability"]], "probability must be a number")
+            ensemble.append((probability, PureState(dim_a, dim_b, vec)))
+        [value] = _floats([doc["value"]], "value must be a number")
+        return value, str(doc.get("monotone", "")), ensemble
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"{path}: malformed certificate: {exc}") from exc

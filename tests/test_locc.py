@@ -3,6 +3,7 @@ import pytest
 
 from entmono import (
     DensityMatrix,
+    MonotoneSpec,
     OutcomeEnsemble,
     PureState,
     UnilocalOperation,
@@ -16,6 +17,7 @@ from entmono import (
     haar_unitary,
     maximally_entangled,
     monotone_by_name,
+    monotone_from_concave,
     partial_trace_b,
     perturbation_measurement,
     phase_distance,
@@ -31,6 +33,11 @@ from conftest import random_traceless_hermitian
 
 BELL = maximally_entangled(2)
 E1 = alpha_entropy_spec(1.0)
+
+
+def vidal_spec(l):
+    """Vidal's E_l(p) = sum of the descending weights from the l-th on: concave and piecewise linear."""
+    return MonotoneSpec(f"vidal:E_{l}", g=lambda p: np.sort(p, axis=-1)[..., ::-1][..., l - 1:].sum(axis=-1))
 
 
 def ket(dim_a, dim_b, i, j):
@@ -288,6 +295,18 @@ class TestCheckC1:
         report = check_c1(control, trials=100, dims=(4, 4), seed=5)
         assert len(report.violations) >= 1
         assert report.max_violation > 1e-6
+
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
+    def test_vidal_kinks_have_no_violations(self, dims):
+        # The E_l have kinks wherever two weights meet, where the smooth Renyi
+        # family has none; their convex complements (the Ky Fan sums of the
+        # l - 1 largest weights) must be flagged on the same trials.
+        specs = [monotone_from_concave(vidal_spec(l), samples=300) for l in range(2, dims[0] + 1)]
+        ky_fan = [MonotoneSpec(f"ky_fan:{spec.name}", g=lambda p, g=spec.g: 1.0 - g(p), normalized=False)
+                  for spec in specs]
+        report = check_c1(specs + ky_fan, trials=300, dims=dims, seed=11)
+        assert len(report.records) == 300 * 2 * len(specs)
+        assert report.violations and all(rec.monotone.startswith("ky_fan:") for rec in report.violations)
 
     def test_unilocal_unitaries_preserve_value(self, rng):
         # invariance, not just monotonicity, for the reversible step

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmono import (
     DensityMatrix,
@@ -152,3 +154,57 @@ class TestRoofEstimate:
     def test_m_below_rank_rejected(self):
         with pytest.raises(ValueError, match="below the rank"):
             roof_estimate(benchmark_state(), 2, 2, E1, m=1, restarts=1, iterations=10, seed=0)
+
+
+class TestRoofEdgeCases:
+    def test_zero_padded_isometry_with_one_restart(self):
+        # The eigen-ensemble and the supplied two-member ensemble are both
+        # padded to six rows, so many steps rotate two zero rows in both runs.
+        rho = benchmark_state()
+        eigen = ensemble_from_isometry(rho, np.eye(2), 2, 2)
+        start = ensemble_from_isometry(rho, _random_isometry(2, 2, np.random.default_rng(3)), 2, 2)
+        est = roof_estimate(rho, 2, 2, E1, m=6, restarts=1, iterations=120, seed=4,
+                            initial_isometries=[isometry_of_ensemble(rho, start)])
+        assert est.restarts == 2 and est.m == 6
+        assert est.value <= min(sum(p * E1(psi) for p, psi in ens) for ens in (eigen, start)) + 1e-12
+        assert est.value >= BENCHMARK_ORACLE - 1e-9
+        assert np.max(np.abs(est.reconstruction(4) - rho.entries)) < 1e-10
+
+    @pytest.mark.parametrize("m", [None, 1, 2])
+    def test_rank_one_state(self, rng, m):
+        psi = random_pure_state(2, 3, rng)
+        est = roof_estimate(density_of(psi), 2, 3, E1, m=m, restarts=3, iterations=60, seed=1)
+        assert est.m == (3 if m is None else m)
+        assert est.value == pytest.approx(E1(psi), abs=1e-10)
+
+    def test_m_equal_to_rank(self, rng):
+        rho = random_density_matrix(4, rng, rank=3)
+        est = roof_estimate(rho, 2, 2, E1, m=3, restarts=3, iterations=200, seed=6)
+        assert est.m == 3 and len(est.ensemble) <= 3
+        assert est.value >= wootters_eof(rho.entries) - 1e-9
+        assert np.max(np.abs(est.reconstruction(4) - rho.entries)) < 1e-10
+
+    def test_zero_iterations_returns_best_start(self, rng):
+        rho = random_density_matrix(6, rng, rank=3)
+        eigen = ensemble_from_isometry(rho, np.eye(3), 2, 3)
+        est = roof_estimate(rho, 2, 3, E1, restarts=1, iterations=0, seed=0)
+        assert est.converged
+        assert est.value == sum(p * E1(psi) for p, psi in eigen)
+        more = roof_estimate(rho, 2, 3, E1, restarts=4, iterations=0, seed=0)
+        assert more.value <= est.value + 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(dims=st.sampled_from([(2, 2), (2, 3)]), rank=st.integers(1, 4), state_seed=st.integers(0, 2**32 - 1))
+def test_restarts_are_prefixes_and_certificates_hold(dims, rank, state_seed):
+    # The restarts of a run with fewer restarts are the first ones of a run
+    # with more, so the best value cannot go up as restarts are added.
+    dim = dims[0] * dims[1]
+    rho = random_density_matrix(dim, np.random.default_rng(state_seed), rank=rank)
+    values = []
+    for restarts in (1, 2, 3, 4):
+        est = roof_estimate(rho, *dims, E1, restarts=restarts, iterations=60, seed=17)
+        assert np.max(np.abs(est.reconstruction(dim) - rho.entries)) < 1e-8
+        assert sum(p * E1(psi) for p, psi in est.ensemble) == pytest.approx(est.value, abs=1e-10)
+        values.append(est.value)
+    assert all(later <= earlier + 1e-12 for earlier, later in zip(values, values[1:]))

@@ -21,6 +21,7 @@ from entmono import (
     StateFileError,
     density_of,
     load_bipartite_density,
+    load_certificate,
     load_state,
 )
 
@@ -192,3 +193,25 @@ def test_density_with_non_positive_dims_rejected(dims, entries, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(StateFileError, match="local dimensions must be positive"):
         load_bipartite_density(str(path))
+
+
+def _certificate(value=0.5, probability=1.0):
+    member = {"probability": probability, "amplitudes": {"dim_a": 1, "dim_b": 1, "re_im": [[1.0, 0.0]]}}
+    return {"monotone": "e1", "value": value, "ensemble": [member]}
+
+
+def test_certificate_loads(tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_certificate()))
+    value, name, ensemble = load_certificate(str(path))
+    assert (value, name, [p for p, _ in ensemble]) == (0.5, "e1", [1.0])
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("value", "0.5"), ("value", True), ("probability", "1.0"), ("probability", True),
+])
+def test_certificate_non_numbers_rejected(field, bad, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_certificate(**{field: bad})))
+    with pytest.raises(StateFileError, match=f"{field} must be a number"):
+        load_certificate(str(path))
