@@ -81,13 +81,11 @@ def cmd_schmidt(args) -> int:
     spectrum = _spectrum_from_file(args.state)
     alphas = _parse_alphas(args.alphas)
     print("schmidt spectrum:", " ".join(f"{v:.4f}" for v in spectrum.values))
-    rows = []
-    for alpha in alphas:
-        value = e_alpha(spectrum, alpha)
-        rows.append((alpha, value))
+    values = e_alpha(spectrum, alphas)
+    for alpha, value in zip(alphas, values):
         print(f"E_{alpha:g} = {value:.4f}")
     if args.csv:
-        _write_csv(args.csv, ["alpha", "e_alpha"], rows)
+        _write_csv(args.csv, ["alpha", "e_alpha"], zip(alphas, values))
     return EXIT_OK
 
 

@@ -63,31 +63,25 @@ def _ratio_curve(source: SchmidtSpectrum, target: SchmidtSpectrum, alpha_grid):
     if target.rank() < 2:
         raise ValueError("bound undefined: denominator vanishes (target is separable)")
     alphas = np.linspace(0.0, 1.0, 201) if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
-    raw = []
-    for alpha in alphas:
-        denom = e_alpha(target, float(alpha))
-        if denom < DENOMINATOR_FLOOR:
-            warnings.warn(
-                f"skipping alpha={float(alpha):g}: E_alpha(target) vanishes", stacklevel=3
-            )
-            continue
-        raw.append((float(alpha), e_alpha(source, float(alpha)) / denom))
-    if not raw:
+    if alphas.size == 0:
+        raise ValueError("bound undefined: the alpha grid is empty")
+    denom = e_alpha(target, alphas)
+    kept = denom >= DENOMINATOR_FLOOR
+    for alpha in alphas[~kept]:
+        warnings.warn(f"skipping alpha={alpha:g}: E_alpha(target) vanishes", stacklevel=3)
+    if not kept.any():
         raise ValueError("bound undefined: denominator vanishes at every grid point")
-    return raw
+    return alphas[kept], e_alpha(source, alphas[kept]) / denom[kept]
 
 
 def bound_single(source: SchmidtSpectrum, target: SchmidtSpectrum,
                  alpha_grid=None) -> ConversionBound:
     """Smallest E_alpha ratio over the grid: an upper bound on P(source -> target)."""
-    raw = _ratio_curve(source, target, alpha_grid)
-    clipped = tuple((a, min(r, 1.0)) for a, r in raw)
-    best = min(range(len(clipped)), key=lambda i: clipped[i][1])
-    return ConversionBound(
-        value=clipped[best][1],
-        minimizing_alpha=clipped[best][0],
-        per_alpha_curve=clipped,
-    )
+    alphas, ratios = _ratio_curve(source, target, alpha_grid)
+    clipped = np.minimum(ratios, 1.0)
+    best = np.argmin(clipped)
+    return ConversionBound(value=float(clipped[best]), minimizing_alpha=float(alphas[best]),
+                           per_alpha_curve=tuple(zip(alphas.tolist(), clipped.tolist())))
 
 
 def bound_multicopy(source: SchmidtSpectrum, target: SchmidtSpectrum, n_copies: int,
@@ -113,5 +107,4 @@ def bound_average_yield(source: SchmidtSpectrum, target: SchmidtSpectrum, n_copi
     """
     if int(n_copies) < 1:
         raise ValueError(f"n_copies must be a positive integer, got {n_copies!r}")
-    raw = _ratio_curve(source, target, alpha_grid)
-    return float(n_copies) * min(r for _, r in raw)
+    return float(n_copies) * float(_ratio_curve(source, target, alpha_grid)[1].min())

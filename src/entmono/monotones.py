@@ -23,6 +23,10 @@ PROB_NEG_TOL = 1e-12
 # Shannon limit: the generic form cancels catastrophically there, while the
 # switch changes the exact value by O(ALPHA_ONE_TOL).
 ALPHA_ONE_TOL = 1e-12
+# For 0 < 1 - alpha below this window, ln(sum p^alpha) is evaluated as
+# log1p(sum p expm1((alpha - 1) ln p)): the generic form takes the log of a sum
+# within O(1 - alpha) of one, and its rounding error grows like 1 / (1 - alpha).
+_NEAR_ONE = 1e-4
 
 
 class MonotoneValidationError(ValueError):
@@ -66,17 +70,22 @@ class MonotoneSpec:
         return float(self.g(spectrum_of(state_or_spectrum).values))
 
 
-def renyi_entropy(p, alpha: float):
+def renyi_entropy(p, alpha):
     """Order-alpha entropy of each probability vector along the last axis, in bits.
 
     alpha = 1 is the Shannon entropy (0 log 0 := 0); alpha = 0 is the log of
     the number of entries above ``SPECTRUM_CLAMP``; otherwise
-    log2(sum p^alpha) / (1 - alpha).  Within ``ALPHA_ONE_TOL`` of alpha = 1
-    the Shannon branch is used.  A 1-D vector gives a float, a (..., n) stack
-    an array of shape (...); every row must be a probability vector.
+    log2(sum p^alpha) / (1 - alpha), summed through log1p and expm1 when
+    1 - alpha < 1e-4.  Within ``ALPHA_ONE_TOL`` of alpha = 1 the Shannon
+    branch is used.  A 1-D vector gives a float, a (..., n) stack an array of
+    shape (...); every row must be a probability vector.  An array of orders
+    prepends its shape, each entry equal to its scalar call.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    orders = np.asarray(alpha, dtype=float) if hasattr(alpha, "__len__") else None
+    # the scalar order, or the orders outside [0, 1]
+    bad = [alpha] if orders is None else orders[~((orders >= 0.0) & (orders <= 1.0))]
+    if len(bad) and not 0.0 <= bad[0] <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {float(bad[0])!r}")
     p = np.array(p, dtype=float, ndmin=1)
     if p.size == 0:
         raise ValueError("probability vector must be non-empty")
@@ -87,17 +96,36 @@ def renyi_entropy(p, alpha: float):
     if off.size:
         raise ValueError(f"probabilities sum to {float(off[0])!r}, expected 1 within 1e-9")
     p = np.maximum(p, 0.0)
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
+    if orders is not None:
+        a = orders.reshape(orders.shape + (1,) * (p.ndim - 1))
+        # a scalar 0.5 takes numpy's sqrt fast path, which pow can miss by an ulp
+        sums = np.where(a[..., None] == 0.5, np.sqrt(p), p ** a[..., None]).sum(axis=-1)
+        # orders at 1 divide by zero here; np.select takes the Shannon value for them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            generic = np.log2(sums) / (1.0 - a)
+            near = _near_one(p, a[..., None])
+        values = np.select([abs(a - 1.0) < ALPHA_ONE_TOL, a == 0.0, 1.0 - a < _NEAR_ONE], [
+            shannon_term(p).sum(axis=-1) + 0.0, np.log2((p > SPECTRUM_CLAMP).sum(axis=-1)), near],
+            generic)
+    elif abs(alpha - 1.0) < ALPHA_ONE_TOL:
         # + 0.0 turns the -0.0 of a point distribution into 0.0
         values = shannon_term(p).sum(axis=-1) + 0.0
     elif alpha == 0.0:
         values = np.log2((p > SPECTRUM_CLAMP).sum(axis=-1))
+    elif 1.0 - alpha < _NEAR_ONE:
+        values = _near_one(p, alpha)
     else:
         values = np.log2((p**alpha).sum(axis=-1)) / (1.0 - alpha)
-    return float(values) if p.ndim == 1 else values
+    return float(values) if values.ndim == 0 else values
 
 
-def e_alpha(state_or_spectrum, alpha: float) -> float:
+def _near_one(p, alpha):
+    """log2(sum p^alpha) / (1 - alpha) along the last axis for alpha near 1; alpha broadcasts."""
+    terms = p * np.expm1((alpha - 1.0) * np.log(np.where(p > 0.0, p, 1.0)))
+    return (np.log1p(terms.sum(axis=-1, keepdims=True)) / ((1.0 - alpha) * np.log(2.0)) + 0.0)[..., 0]
+
+
+def e_alpha(state_or_spectrum, alpha):
     """Order-alpha entanglement entropy: renyi_entropy of the Schmidt spectrum."""
     return renyi_entropy(spectrum_of(state_or_spectrum).values, alpha)
 
@@ -201,8 +229,6 @@ def delta_e_alpha_of_fidelity(fidelity: float, alpha: float) -> float:
     alpha = 0 the value is a step: 0 at the product-state endpoints F in {0, 1}
     and 1 for every F strictly between.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must lie in [0, 1], got {fidelity!r}")
     if alpha == 0.0:  # unlike renyi_entropy's clamp count, 1 for every F strictly inside (0, 1)

@@ -36,6 +36,7 @@ from entmono import (
     phase_distance,
     apply_unilocal,
     random_pure_state,
+    renyi_entropy,
     roof_estimate,
     schmidt,
 )
@@ -318,7 +319,11 @@ def test_criterion_10_delta_e_alpha_family():
     for alpha in (0.25, 0.5, 1.0):
         jumps = []
         for fs, h in zip(grids, spacings):
-            vals = np.array([delta_e_alpha_of_fidelity(float(f), alpha) for f in fs])
+            # one kernel call per curve; on the coarsest grid it must equal the scalar calls
+            vals = renyi_entropy(np.stack([fs, 1 - fs], axis=-1), alpha)
+            if fs.size == 1001:
+                assert np.array_equal(
+                    vals, [delta_e_alpha_of_fidelity(float(f), alpha) for f in fs])
             jump = float(np.max(np.abs(np.diff(vals))))
             bound = _continuity_modulus(h, alpha)
             within_bound = within_bound and jump <= bound

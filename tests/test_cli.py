@@ -106,6 +106,11 @@ class TestSchmidtCommand:
         assert "E_1 = 0.0000" in capsys.readouterr().out
         assert out.read_text() == "alpha,e_alpha\n1,0\n"
 
+    @pytest.mark.parametrize("alphas, shown", [("0.5,2", "2.0"), ("nan", "nan")])
+    def test_order_outside_unit_interval_exits_3(self, files, alphas, shown, capsys):
+        assert main(["schmidt", files["source"], "--alphas", alphas]) == 3
+        assert capsys.readouterr().err == f"error: alpha must lie in [0, 1], got {shown}\n"
+
 
 class TestBoundCommand:
     def test_worked_pair(self, files, tmp_path, capsys):
@@ -130,6 +135,14 @@ class TestBoundCommand:
         sep.write_text(json.dumps({"schmidt": [1.0]}))
         assert main(["bound", files["source"], str(sep)]) == 3
         assert "denominator vanishes" in capsys.readouterr().err
+
+    def test_empty_grid_exits_3(self, files, capsys):
+        assert main(["bound", files["source"], files["target"], "--grid", "0"]) == 3
+        assert capsys.readouterr().err == "error: bound undefined: the alpha grid is empty\n"
+
+    def test_one_point_grid_is_alpha_zero(self, files, capsys):
+        assert main(["bound", files["source"], files["target"], "--grid", "1"]) == 0
+        assert "(minimizing alpha 0)" in capsys.readouterr().out
 
 
 class TestDilutionCommand:

@@ -14,6 +14,7 @@ from entmono import (
     e_alpha,
     locally_equivalent,
 )
+from entmono.conversion import DENOMINATOR_FLOOR
 
 SOURCE_33 = SchmidtSpectrum([0.5000, 0.4991, 0.0009])
 TARGET_33 = SchmidtSpectrum([0.7000, 0.2737, 0.0263])
@@ -142,6 +143,39 @@ class TestVidalOracle:
         p = vidal_probability(a, b)
         assert bound_single(source, target).value >= float(p) - 1e-12
         assert majorizes(b, a) == (p == 1)
+
+
+def reference_curve(source, target, grid):
+    """(alpha, ratio) pairs from one scalar e_alpha call per order and spectrum."""
+    curve = []
+    for alpha in grid:
+        denom = e_alpha(target, float(alpha))
+        if denom >= DENOMINATOR_FLOOR:
+            curve.append((float(alpha), e_alpha(source, float(alpha)) / denom))
+    return curve
+
+
+@st.composite
+def grids(draw):
+    if draw(st.booleans()):
+        return np.linspace(0.0, 1.0, draw(st.sampled_from([1, 2, 3, 11, 201, 2001])))
+    special = st.sampled_from([0.0, 0.5, 1.0, 1.0 - 1e-13, 1.0 - 1e-6])
+    return np.array(draw(st.lists(st.one_of(special, st.floats(0.0, 1.0)), min_size=1,
+                                  max_size=40)))
+
+
+class TestScalarReference:
+    @settings(max_examples=200, deadline=None)
+    @given(source=spectra(), target=spectra(), grid=grids(), copies=st.integers(1, 5))
+    def test_bounds_equal_the_scalar_loop(self, source, target, grid, copies):
+        curve = reference_curve(source, target, grid)
+        clipped = tuple((a, min(r, 1.0)) for a, r in curve)
+        best = min(range(len(clipped)), key=lambda i: clipped[i][1])
+        bound = bound_single(source, target, grid)
+        assert repr(bound.per_alpha_curve) == repr(clipped)
+        assert repr((bound.value, bound.minimizing_alpha)) == repr(clipped[best][::-1])
+        assert repr(bound_average_yield(source, target, copies, grid)) == repr(
+            float(copies) * min(r for _, r in curve))
 
 
 class TestMultiCopy:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,8 +221,8 @@ class TestDeltaEAlpha:
             delta_e_alpha_of_fidelity(0.5, 2.0)
 
 
-NORMALIZED = ("e0", "e1", "e_alpha:0.5", "e_alpha:0.9999999999999", "trace_fn:shannon",
-              "trace_fn:linear")
+NORMALIZED = ("e0", "e1", "e_alpha:0.5", "e_alpha:0.999999", "e_alpha:0.9999999999999",
+              "trace_fn:shannon", "trace_fn:linear")
 REGISTRY_NAMES = st.one_of(
     st.sampled_from(NORMALIZED + ("control:sum_squares",)),
     st.floats(0.0, 1.0).map(lambda a: f"e_alpha:{a!r}"),
@@ -253,11 +255,68 @@ class TestStackContract:
                 assert value == 0.0 and not np.signbit(value)
             assert not np.any(np.signbit(spec.g(np.eye(n))))
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0 - 1e-13, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0 - 1e-6, 1.0 - 1e-13, 1.0])
     def test_delta_e_alpha_endpoints_give_positive_zero(self, alpha):
         for fidelity in (0.0, 1.0):
             value = delta_e_alpha_of_fidelity(fidelity, alpha)
             assert value == 0.0 and not np.signbit(value)
+
+
+ORDERS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.0 - 1e-13, 1.0 - 2e-12]),
+    st.floats(1.0 - 1e-4, 1.0 - 1e-12),  # the log1p window
+    st.floats(0.0, 1.0),
+)
+
+
+class TestArrayOfOrders:
+    @settings(max_examples=300, deadline=None)
+    @given(stack=simplex_stacks(), alphas=st.lists(ORDERS, max_size=12), one_d=st.booleans())
+    def test_entries_are_the_scalar_calls(self, stack, alphas, one_d):
+        p = stack[0] if one_d else stack
+        alphas = np.array(alphas)
+        values = renyi_entropy(p, alphas)
+        assert values.shape == alphas.shape + p.shape[:-1]
+        for value, alpha in zip(values, alphas):
+            scalar = renyi_entropy(p, float(alpha))
+            assert np.array_equal(value, scalar) and np.array_equal(np.signbit(value),
+                                                                    np.signbit(scalar))
+
+    def test_orders_keep_their_shape(self):
+        p = np.array([[0.3, 0.7], [0.1, 0.9], [1.0, 0.0]])
+        alphas = np.array([[0.0, 0.25], [0.5, 1.0 - 1e-6], [0.999, 1.0]])
+        values = renyi_entropy(p, alphas)
+        assert values.shape == (3, 2, 3)
+        for i, j in np.ndindex(alphas.shape):
+            assert np.array_equal(values[i, j], renyi_entropy(p, float(alphas[i, j])))
+        assert e_alpha(SchmidtSpectrum([0.3, 0.7]), [0.5])[0] == e_alpha(
+            SchmidtSpectrum([0.3, 0.7]), 0.5)
+        assert type(renyi_entropy([0.3, 0.7], np.float64(0.5))) is float
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_an_invalid_order_raises_the_scalar_message(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            renyi_entropy([0.3, 0.7], bad)
+        with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+            renyi_entropy([0.3, 0.7], np.array([0.25, bad, 0.5]))
+
+
+class TestNearOne:
+    @settings(max_examples=300, deadline=None)
+    @given(stack=simplex_stacks(), gap=st.floats(0.0, 1e-4, exclude_min=True))
+    def test_departure_from_shannon_is_first_order(self, stack, gap):
+        # E_alpha - E_1 = (1 - alpha) Var_p(ln p) / (2 ln 2) + O((1 - alpha)^2)
+        alpha = 1.0 - gap
+        for p in stack:
+            ln_p = np.log(p[p > 0.0])
+            var = float(np.sum(p[p > 0.0] * ln_p**2) - np.sum(p[p > 0.0] * ln_p) ** 2)
+            excess = renyi_entropy(p, alpha) - renyi_entropy(p, 1.0)
+            assert -1e-13 <= excess <= gap * var / np.log(2.0) + 1e-13
+
+    def test_pinned_order_joins_shannon(self):
+        # the generic form was 8.8e-6 off here
+        assert abs(renyi_entropy([0.3, 0.7], 1.0 - 2e-12) - H_07_03) <= 1e-12
+        assert abs(delta_e_alpha_of_fidelity(0.3, 1.0 - 2e-12) - H_07_03) <= 1e-12
 
 
 class TestRegistry:
