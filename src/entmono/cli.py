@@ -52,9 +52,14 @@ def _write_csv(path, header, rows) -> None:
             fh.write(text)
 
 
+def _float(text: str) -> float:
+    """float(text), with -0.0 read as 0.0 so that an echoed value never prints as -0."""
+    return float(text) + 0.0
+
+
 def _parse_alphas(text: str):
     try:
-        alphas = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        alphas = [_float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise StateFileError(f"cannot parse alpha list {text!r}: {exc}") from exc
     if not alphas:
@@ -198,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="target state file")
     p.add_argument("--copies", type=int, default=1, help="copy count for the average-yield bound")
     p.add_argument("--grid", type=int, default=201, help="number of alpha grid points")
-    p.add_argument("--equiv-tol", type=float, default=1e-9,
+    p.add_argument("--equiv-tol", type=_float, default=1e-9,
                    help="tolerance for the local-equivalence test (raise for rounded spectra)")
     p.add_argument("--csv", help="write the alpha,ratio curve CSV to this path")
     p.set_defaults(func=cmd_bound)

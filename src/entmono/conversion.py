@@ -53,8 +53,11 @@ def locally_equivalent(s1: SchmidtSpectrum, s2: SchmidtSpectrum, tol: float = 1e
     """Whether the two spectra coincide entrywise after zero-padding.
 
     Equal spectra mean the underlying states are related by local unitaries
-    and hence reversibly interconvertible with certainty.
+    and hence reversibly interconvertible with certainty.  ``tol`` must be
+    finite and non-negative.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"equivalence tolerance must be finite and non-negative, got {tol!r}")
     a, b = _pad_pair(s1, s2)
     return bool(np.max(np.abs(a - b)) <= tol)
 

@@ -21,9 +21,11 @@ from .states import (
     DensityMatrix,
     OutcomeEnsemble,
     PureState,
+    _dims_of,
     _kraus_outcome,
     _matrix_of,
-    density_of,
+    _mixture,
+    _trace_out,
     ensure_rng,
     haar_unitary,
     random_pure_state,
@@ -32,6 +34,7 @@ from .states import (
 
 COMPLETENESS_TOL = 1e-9
 MEASUREMENT_TOL = 1e-10
+MONOTONICITY_TOL = 1e-9  # a C1/C2 margin below -MONOTONICITY_TOL is a violation
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,6 @@ class UnilocalOperation:
     def is_trace_preserving(self) -> bool:
         return self._tp
 
-    def output_dims(self, dim_a: int, dim_b: int):
-        if self.party == "A":
-            return self.dim_out, dim_b
-        return dim_a, self.dim_out
-
 
 def unilocal_unitary(party: str, u) -> UnilocalOperation:
     """Single-outcome reversible operation (a local basis change)."""
@@ -108,16 +106,13 @@ def apply_unilocal(state, op: UnilocalOperation, dim_a=None, dim_b=None) -> Outc
     tolerance) is rejected, since the result would not be a proper ensemble.
     """
     pure = isinstance(state, PureState)
-    if pure:
-        dim_a, dim_b = state.dim_a, state.dim_b
-    elif dim_a is None or dim_b is None:
-        raise ValueError("dim_a and dim_b are required for density-matrix input")
+    dim_a, dim_b = _dims_of(state, dim_a, dim_b)
     on_a = op.party == "A"
     dim = dim_a if on_a else dim_b
     if op.dim_in != dim:
         raise ValueError(f"dimension mismatch: operation expects dim_{op.party.lower()}={op.dim_in}, "
                          f"state has {dim}")
-    out_a, out_b = op.output_dims(dim_a, dim_b)
+    out_a, out_b = (op.dim_out, dim_b) if on_a else (dim_a, op.dim_out)
     # A pure input is the one-column map C -> H: each Kraus operator K gives
     # the column (K (x) I) psi, computed on the coefficient matrix M as K M
     # (party A) or M K^T (party B), and several columns sum to a mixed outcome.
@@ -156,10 +151,7 @@ def add_ancilla(state, party: str, ancilla, dim_a=None, dim_b=None) -> DensityMa
     A | (B, anc); in both cases the ancilla is the inner (fastest-varying)
     index of the extended factor.
     """
-    if isinstance(state, PureState):
-        dim_a, dim_b = state.dim_a, state.dim_b
-    elif dim_a is None or dim_b is None:
-        raise ValueError("dim_a and dim_b are required for density-matrix input")
+    dim_a, dim_b = _dims_of(state, dim_a, dim_b)
     rho, anc = _matrix_of(state), _matrix_of(ancilla)
     dq = anc.shape[0]
     if party == "B":
@@ -184,23 +176,13 @@ def dismiss_part(state, dims, axis: int) -> DensityMatrix:
         raise ValueError(f"unknown factor split: prod{dims} != matrix dimension {rho.shape[0]}")
     if not 0 <= axis < len(dims):
         raise ValueError(f"unknown factor: axis {axis} outside the {len(dims)}-factor split")
-    n = len(dims)
-    r = rho.reshape(dims + dims)
-    r = np.trace(r, axis1=axis, axis2=axis + n)
-    keep = [d for i, d in enumerate(dims) if i != axis]
-    d = int(np.prod(keep)) if keep else 1
-    return DensityMatrix(d, r.reshape(d, d))
+    return _trace_out(rho, dims, axis)
 
 
 def forget(ensemble: OutcomeEnsemble) -> DensityMatrix:
     """Drop the outcome record: the ensemble average sum q_k rho_k."""
-    acc = None
-    dim = None
-    for p, state in ensemble:
-        mat = _matrix_of(state)
-        acc = p * mat if acc is None else acc + p * mat
-        dim = mat.shape[0]
-    return DensityMatrix(dim, acc)
+    acc = _mixture(ensemble)
+    return DensityMatrix(acc.shape[0], acc)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -365,20 +347,21 @@ def _as_spec_list(monotone):
     return list(monotone)
 
 
-def check_c1(monotone, trials: int = 10_000, dims=(4, 4), seed=0,
-             tolerance: float = 1e-9) -> MonotonicityReport:
+def check_c1(monotone, trials: int = 10_000, dims=(4, 4), seed=0) -> MonotonicityReport:
     """Monte-Carlo screen of averaged decrease under unilocal operations.
 
     Each trial draws a Haar-random pure state and a random trace-preserving
     unilocal operation with 2 to 4 outcomes, which carry a single Kraus operator each (so
     post-states stay pure and the monotone is exactly evaluable), then checks
-    mu(psi) >= sum_k p_k mu(psi_k) - tolerance.  Accepts a single spec or a
+    mu(psi) >= sum_k p_k mu(psi_k) - ``MONOTONICITY_TOL``.  Accepts a single spec or a
     sequence evaluated on the same trial stream.  Trials use per-trial derived
     seeds, so aggregates are deterministic for a fixed master seed.
     """
+    if trials < 0:
+        raise ValueError(f"trial count must be non-negative, got {trials!r}")
     specs = _as_spec_list(monotone)
     dims = (int(dims[0]), int(dims[1]))
-    report = MonotonicityReport("C1", trials, dims, seed, tolerance)
+    report = MonotonicityReport("C1", trials, dims, seed, MONOTONICITY_TOL)
     children = np.random.SeedSequence(seed).spawn(trials)
     for t in range(trials):
         rng = np.random.default_rng(children[t])
@@ -396,12 +379,12 @@ def check_c1(monotone, trials: int = 10_000, dims=(4, 4), seed=0,
     return report
 
 
-def check_c2(monotone, trials: int = 200, dims=(2, 2), seed=0, tolerance: float = 1e-9,
+def check_c2(monotone, trials: int = 200, dims=(2, 2), seed=0,
              ensemble_range=(2, 3)) -> MonotonicityReport:
     """Monte-Carlo screen of convexity under forgetting, via roof upper bounds.
 
     Each trial draws a random pure-state ensemble {q_k, psi_k} and checks
-    sum q_k mu(psi_k) >= roof_estimate(sum q_k |psi_k><psi_k|) - tolerance.
+    sum q_k mu(psi_k) >= roof_estimate(sum q_k |psi_k><psi_k|) - ``MONOTONICITY_TOL``.
     The trial ensemble itself is handed to the roof search as a starting
     certificate, so the estimate never exceeds the left-hand side by more than
     numerical noise and the check is sound even when the local search stalls.
@@ -409,9 +392,11 @@ def check_c2(monotone, trials: int = 200, dims=(2, 2), seed=0, tolerance: float 
     """
     from .roof import isometry_of_ensemble, roof_estimate
 
+    if trials < 0:
+        raise ValueError(f"trial count must be non-negative, got {trials!r}")
     specs = _as_spec_list(monotone)
     dims = (int(dims[0]), int(dims[1]))
-    report = MonotonicityReport("C2", trials, dims, seed, tolerance)
+    report = MonotonicityReport("C2", trials, dims, seed, MONOTONICITY_TOL)
     children = np.random.SeedSequence(seed).spawn(trials)
     lo, hi = ensemble_range
     for t in range(trials):
@@ -419,8 +404,7 @@ def check_c2(monotone, trials: int = 200, dims=(2, 2), seed=0, tolerance: float 
         k = int(rng.integers(lo, hi + 1))
         members = [random_pure_state(*dims, rng) for _ in range(k)]
         probs = rng.dirichlet(np.ones(k))
-        mixed = sum(p * density_of(psi).entries for p, psi in zip(probs, members))
-        rho = DensityMatrix(dims[0] * dims[1], mixed)
+        rho = DensityMatrix(dims[0] * dims[1], _mixture(zip(probs, members)))
         seed_iso = isometry_of_ensemble(rho, list(zip(probs, members)))
         for spec in specs:
             lhs = float(sum(p * spec(psi) for p, psi in zip(probs, members)))

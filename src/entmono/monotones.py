@@ -77,9 +77,10 @@ def renyi_entropy(p, alpha):
     the number of entries above ``SPECTRUM_CLAMP``; otherwise
     log2(sum p^alpha) / (1 - alpha), summed through log1p and expm1 when
     1 - alpha < 1e-4.  Within ``ALPHA_ONE_TOL`` of alpha = 1 the Shannon
-    branch is used.  A 1-D vector gives a float, a (..., n) stack an array of
-    shape (...); every row must be a probability vector.  An array of orders
-    prepends its shape, each entry equal to its scalar call.
+    branch is used.  Values are clamped at +0.0.  A 1-D vector gives a
+    float, a (..., n) stack an array of shape (...); every row must be a
+    probability vector.  An array of orders prepends its shape, each entry
+    equal to its scalar call.
     """
     orders = np.asarray(alpha, dtype=float) if hasattr(alpha, "__len__") else None
     # the scalar order, or the orders outside [0, 1]
@@ -116,6 +117,9 @@ def renyi_entropy(p, alpha):
         values = _near_one(p, alpha)
     else:
         values = np.log2((p**alpha).sum(axis=-1)) / (1.0 - alpha)
+    # rounding puts a point distribution of weight 1 - ulp a few ulps below 0;
+    # no branch returns -0.0, so the clamp gives +0.0 there
+    values = np.maximum(values, 0.0)
     return float(values) if values.ndim == 0 else values
 
 

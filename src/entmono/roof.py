@@ -23,7 +23,7 @@ import numpy as np
 
 from .monotones import MonotoneSpec
 from .states import (OUTCOME_FLOOR, SPECTRUM_CLAMP, DensityMatrix, PureState, _clamped_squares,
-                     _phase_fixed_qr, ensure_rng)
+                     _haar_isometry, _mixture, _phase_fixed_qr, ensure_rng)
 
 STEP0, STEP_MIN = 0.6, 0.01  # the proposal step size decays exponentially from STEP0 to STEP_MIN
 
@@ -38,11 +38,9 @@ class RoofEstimate:
     converged: bool
     m: int
 
-    def reconstruction(self, dim: int) -> np.ndarray:
-        acc = np.zeros((dim, dim), dtype=complex)
-        for p, psi in self.ensemble:
-            acc += p * np.outer(psi.amplitudes, psi.amplitudes.conj())
-        return acc
+    def reconstruction(self) -> np.ndarray:
+        """The density matrix sum_j p_j |psi_j><psi_j| the ensemble realizes."""
+        return _mixture(self.ensemble)
 
 
 def _eigen_decomposition(rho: DensityMatrix):
@@ -66,24 +64,33 @@ def ensemble_from_isometry(rho: DensityMatrix, v, dim_a: int, dim_b: int):
     and at least as many rows.  Members with negligible weight are dropped.
     """
     lam, evecs = _eigen_decomposition(rho)
+    return _members(_checked_isometry(v, lam.size), np.sqrt(lam), evecs.T, dim_a, dim_b)
+
+
+def _checked_isometry(v, rank: int) -> np.ndarray:
+    """``v`` as a complex array, after checking it has orthonormal columns, ``rank`` of them."""
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 2 or v.shape[1] != lam.size:
-        raise ValueError(f"isometry must have {lam.size} columns (the rank of rho), got {v.shape}")
-    if v.shape[0] < lam.size:
-        raise ValueError(f"ensemble size {v.shape[0]} is below the rank {lam.size}")
+    if v.ndim != 2 or v.shape[1] != rank:
+        raise ValueError(f"isometry must have {rank} columns (the rank of rho), got {v.shape}")
+    if v.shape[0] < rank:
+        raise ValueError(f"ensemble size {v.shape[0]} is below the rank {rank}")
     gram = v.conj().T @ v
-    if np.max(np.abs(gram - np.eye(lam.size))) > 1e-10:
+    if np.max(np.abs(gram - np.eye(rank))) > 1e-10:
         raise ValueError("matrix columns are not orthonormal: V^dag V != I")
-    return [(p, PureState(dim_a, dim_b, unit)) for p, unit in _members(v, np.sqrt(lam), evecs.T)]
+    return v
 
 
-def _members(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray):
-    """Yield (weight, unit vector) per member that ``v`` realizes, except those below ``OUTCOME_FLOOR``."""
-    phi = (v * sqrt_lam[None, :]) @ evecs_t
-    for row in phi:
-        p = float(np.real(np.vdot(row, row)))
-        if p >= OUTCOME_FLOOR:
-            yield p, row / np.sqrt(p)
+def _weighted_rows(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray):
+    """Unnormalized members phi_j (the rows of the stacked isometries ``v``) and their weights."""
+    phi = (v * sqrt_lam) @ evecs_t
+    return phi, (phi.conj()[..., None, :] @ phi[..., :, None]).real[..., 0, 0]
+
+
+def _members(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray, dim_a: int, dim_b: int):
+    """(weight, PureState) per member that ``v`` realizes, except those below ``OUTCOME_FLOOR``."""
+    phi, p = _weighted_rows(v, sqrt_lam, evecs_t)
+    return [(float(w), PureState(dim_a, dim_b, row / np.sqrt(w)))
+            for row, w in zip(phi, p) if w >= OUTCOME_FLOOR]
 
 
 def isometry_of_ensemble(rho: DensityMatrix, ensemble) -> np.ndarray:
@@ -97,26 +104,15 @@ def isometry_of_ensemble(rho: DensityMatrix, ensemble) -> np.ndarray:
     return _phase_fixed_qr(np.array(rows))
 
 
-def _random_isometry(m: int, r: int, rng) -> np.ndarray:
-    return _phase_fixed_qr(rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r)))
-
-
-def _eye_isometry(m: int, r: int) -> np.ndarray:
-    v = np.zeros((m, r), dtype=complex)
-    v[:r, :r] = np.eye(r)
-    return v
-
-
 def _member_terms(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray, spec: MonotoneSpec,
                   dim_a: int, dim_b: int) -> np.ndarray:
     """p_j * g(spectrum_j) for each row j of the stacked isometries ``v`` (..., k, rank).
 
-    Rows below ``OUTCOME_FLOOR`` give +0.0.  Weights, units and spectra are
-    bitwise those of ``_members`` and a one-member evaluation, so summing the
-    terms of one isometry left to right gives its ensemble average.
+    Rows below ``OUTCOME_FLOOR`` give +0.0.  Weights and units are those of
+    ``_members`` and the spectra bitwise those of a one-member evaluation, so
+    summing the terms of one isometry left to right gives its ensemble average.
     """
-    phi = (v * sqrt_lam) @ evecs_t
-    p = (phi.conj()[..., None, :] @ phi[..., :, None]).real[..., 0, 0]
+    phi, p = _weighted_rows(v, sqrt_lam, evecs_t)
 
     def g_of_units(units):
         vals = _clamped_squares(np.linalg.svd(units.reshape(-1, dim_a, dim_b), compute_uv=False))
@@ -142,6 +138,8 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
     supplied initial isometry gets its own run (even past the restart budget),
     and the remaining restarts are random.  Restarts use derived seeds, so the
     best value is non-increasing in the restart count for a fixed master seed.
+    Supplied isometries must have orthonormal columns, one per eigenvector of
+    rho; restart and iteration counts must be non-negative.
 
     All restarts advance in lockstep, each drawing from its own generator, so
     the result is identical to running them one after another.  Each restart
@@ -159,16 +157,19 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
     m = int(m)
     if m < rank:
         raise ValueError(f"ensemble size m={m} is below the rank {rank}")
+    if restarts < 0 or iterations < 0:
+        raise ValueError(f"restart and iteration counts must be non-negative, got "
+                         f"restarts={restarts!r}, iterations={iterations!r}")
 
     sqrt_lam = np.sqrt(lam)
     basis_t = evecs.T
     master = ensure_rng(seed)
-    starts = [_eye_isometry(m, rank)]
-    starts += [np.asarray(v0, dtype=complex) for v0 in initial_isometries or ()]
+    starts = [np.eye(m, rank, dtype=complex)]
+    starts += [_checked_isometry(v0, rank) for v0 in initial_isometries or ()]
     n_runs = max(restarts, len(starts), 1)
     children = np.random.SeedSequence(master.integers(2**63)).spawn(n_runs)
     rngs = [np.random.default_rng(child) for child in children]
-    starts += [_random_isometry(m, rank, rng) for rng in rngs[len(starts):]]
+    starts += [_haar_isometry(m, rank, rng) for rng in rngs[len(starts):]]
     # Shorter starts are padded with zero rows, which are members of weight 0.
     v = np.zeros((n_runs, max(start.shape[0] for start in starts), rank), dtype=complex)
     for run, start in enumerate(starts):
@@ -209,7 +210,7 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
             step *= decay
 
     best = int(np.argmin(current))  # ties go to the lowest-index restart
-    members = ensemble_from_isometry(rho, v[best], dim_a, dim_b)
+    members = _members(v[best], sqrt_lam, basis_t, dim_a, dim_b)
     value = float(sum(p * spec(psi) for p, psi in members))
     # Settled when the winning restart gained nothing measurable over its
     # final fifth of iterations.

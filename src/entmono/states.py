@@ -122,8 +122,8 @@ class SchmidtSpectrum:
         out[: self.values.size] = self.values
         return out
 
-    def rank(self, cutoff: float = SPECTRUM_CLAMP) -> int:
-        return int(np.count_nonzero(self.values > cutoff))
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.values > SPECTRUM_CLAMP))
 
 
 @dataclass(frozen=True)
@@ -163,39 +163,51 @@ def _matrix_of(state) -> np.ndarray:
     return state.entries if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
 
 
-def _to_matrix(state, dim_a, dim_b):
-    """Normalize the (state, dims) calling conventions to (matrix, dim_a, dim_b)."""
-    m = _matrix_of(state)
+def _dims_of(state, dim_a, dim_b):
+    """(dim_a, dim_b) of a state: a PureState carries its own, any other state needs both given."""
     if isinstance(state, PureState):
-        return m, state.dim_a, state.dim_b
+        return state.dim_a, state.dim_b
     if dim_a is None or dim_b is None:
         raise ValueError("dim_a and dim_b are required for matrix input")
-    if m.shape != (dim_a * dim_b, dim_a * dim_b):
+    return dim_a, dim_b
+
+
+def _to_matrix(state, dim_a, dim_b):
+    """Normalize the (state, dims) calling conventions to (matrix, (dim_a, dim_b))."""
+    dims = _dims_of(state, dim_a, dim_b)
+    m = _matrix_of(state)
+    d = dims[0] * dims[1]
+    if m.shape != (d, d):
         raise ValueError(
-            f"dimension mismatch: matrix is {m.shape}, expected "
-            f"({dim_a * dim_b}, {dim_a * dim_b}) from dims ({dim_a}, {dim_b})"
+            f"dimension mismatch: matrix is {m.shape}, expected ({d}, {d}) from dims {dims}"
         )
-    return m, dim_a, dim_b
+    return m, dims
+
+
+def _trace_out(mat: np.ndarray, dims: tuple, axis: int) -> DensityMatrix:
+    """Partial trace of ``mat`` over factor ``axis`` of the tensor split ``dims``."""
+    r = np.trace(mat.reshape(dims + dims), axis1=axis, axis2=axis + len(dims))
+    d = mat.shape[0] // dims[axis]
+    return DensityMatrix(d, r.reshape(d, d))
+
+
+def _mixture(pairs) -> np.ndarray:
+    """Ensemble average sum_k p_k rho_k of (weight, state) pairs, accumulated in order."""
+    acc = None
+    for p, state in pairs:
+        term = p * _matrix_of(state)
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def partial_trace_b(state, dim_a=None, dim_b=None) -> DensityMatrix:
     """Reduced state on A, tracing out subsystem B."""
-    if isinstance(state, PureState):
-        m = state.coefficient_matrix
-        return DensityMatrix(state.dim_a, m @ m.conj().T)
-    rho, da, db = _to_matrix(state, dim_a, dim_b)
-    r = rho.reshape(da, db, da, db)
-    return DensityMatrix(da, np.einsum("ijkj->ik", r))
+    return _trace_out(*_to_matrix(state, dim_a, dim_b), axis=1)
 
 
 def partial_trace_a(state, dim_a=None, dim_b=None) -> DensityMatrix:
     """Reduced state on B, tracing out subsystem A."""
-    if isinstance(state, PureState):
-        m = state.coefficient_matrix
-        return DensityMatrix(state.dim_b, m.T @ m.conj())
-    rho, da, db = _to_matrix(state, dim_a, dim_b)
-    r = rho.reshape(da, db, da, db)
-    return DensityMatrix(db, np.einsum("ijil->jl", r))
+    return _trace_out(*_to_matrix(state, dim_a, dim_b), axis=0)
 
 
 def schmidt(psi: PureState):
@@ -271,8 +283,12 @@ def maximally_entangled(n: int) -> PureState:
 
 def haar_unitary(dim: int, rng=None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    rng = ensure_rng(rng)
-    return _phase_fixed_qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return _haar_isometry(dim, dim, ensure_rng(rng))
+
+
+def _haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random rows x cols isometry: the phase-fixed Q of a complex Gaussian block."""
+    return _phase_fixed_qr(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
 
 
 def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:

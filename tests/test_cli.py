@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entmono import load_certificate, monotone_by_name
 from entmono.cli import main
@@ -16,6 +21,8 @@ BELL_DOC = {
 }
 SOURCE_DOC = {"label": "source", "schmidt": [0.5000, 0.4991, 0.0009]}
 TARGET_DOC = {"label": "target", "schmidt": [0.7000, 0.2737, 0.0263]}
+# a point spectrum whose weight rounds one ulp below 1
+ULP_DOC = {"label": "one minus ulp", "schmidt": [0.9999999999999999]}
 MIXED_DOC = {
     "label": "half bell, half 01",
     "density": {
@@ -36,6 +43,7 @@ def files(tmp_path):
     paths = {}
     for name, doc in (
         ("bell", BELL_DOC), ("source", SOURCE_DOC), ("target", TARGET_DOC), ("mixed", MIXED_DOC),
+        ("ulp", ULP_DOC),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -106,6 +114,12 @@ class TestSchmidtCommand:
         assert "E_1 = 0.0000" in capsys.readouterr().out
         assert out.read_text() == "alpha,e_alpha\n1,0\n"
 
+    def test_point_spectrum_short_of_one_prints_positive_zero(self, files, capsys):
+        assert main(["schmidt", files["ulp"]]) == 0
+        out = capsys.readouterr().out
+        assert "E_0.5 = 0.0000" in out and "E_0.75 = 0.0000" in out
+        assert "-0.0000" not in out
+
     @pytest.mark.parametrize("alphas, shown", [("0.5,2", "2.0"), ("nan", "nan")])
     def test_order_outside_unit_interval_exits_3(self, files, alphas, shown, capsys):
         assert main(["schmidt", files["source"], "--alphas", alphas]) == 3
@@ -139,6 +153,16 @@ class TestBoundCommand:
     def test_empty_grid_exits_3(self, files, capsys):
         assert main(["bound", files["source"], files["target"], "--grid", "0"]) == 3
         assert capsys.readouterr().err == "error: bound undefined: the alpha grid is empty\n"
+
+    def test_point_spectrum_short_of_one_bounds_at_zero(self, files, capsys):
+        assert main(["bound", files["ulp"], files["target"]]) == 0
+        assert "P <= 0.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_equivalence_tolerance_must_be_finite_and_non_negative(self, files, tol, capsys):
+        assert main(["bound", files["source"], files["target"], f"--equiv-tol={tol}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "equivalence tolerance" in captured.err
 
     def test_one_point_grid_is_alpha_zero(self, files, capsys):
         assert main(["bound", files["source"], files["target"], "--grid", "1"]) == 0
@@ -190,6 +214,12 @@ class TestCheckCommand:
                    "--dims", "2x2", "--seed", "3"])
         assert rc == 0
 
+    @pytest.mark.parametrize("condition, trials", [("c1", "-2"), ("c2", "-1")])
+    def test_negative_trial_count_exits_3(self, condition, trials, capsys):
+        assert main(["check", "--condition", condition, "--trials", trials, "--dims", "2x2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trial count must be non-negative" in captured.err
+
     def test_bad_dims_exits_2(self, capsys):
         assert main(["check", "--dims", "4by4", "--trials", "1"]) == 2
 
@@ -210,6 +240,12 @@ class TestRoofCommand:
     def test_pure_state_input(self, files, capsys):
         assert main(["roof", files["bell"], "--restarts", "2", "--iterations", "50"]) == 0
         assert "1.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", ["--iterations", "--restarts"])
+    def test_negative_count_exits_3(self, files, option, capsys):
+        assert main(["roof", files["bell"], option, "-3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be non-negative" in captured.err
 
     def test_non_integral_density_dimension_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MIXED_DOC))
@@ -298,3 +334,70 @@ class TestDeterminism:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "ENTMONO_SEED" in captured.err
         assert "Traceback" not in captured.err
+
+
+# A nan or inf, or a zero printed with a minus sign, as a whole token.
+BAD_NUMBER = re.compile(r"(?<![\w.-])(-?nan|-?inf|-0(\.0*)?)(?![\w.])", re.IGNORECASE)
+STATE_FILES = ("bell", "source", "target", "mixed", "ulp")
+
+
+@pytest.fixture(scope="module")
+def state_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_property")
+    for name, doc in zip(STATE_FILES, (BELL_DOC, SOURCE_DOC, TARGET_DOC, MIXED_DOC, ULP_DOC)):
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return root
+
+
+@st.composite
+def cli_arguments(draw):
+    """argv for one of the five commands, with finite numbers from small ranges."""
+    def number(strategy):
+        return repr(draw(strategy))
+
+    state = st.sampled_from(STATE_FILES)
+    alphas = ",".join(number(st.floats(-0.5, 1.5)) for _ in range(draw(st.integers(1, 3))))
+    command = draw(st.sampled_from(["schmidt", "bound", "dilution", "check", "roof"]))
+    if command == "schmidt":
+        return ["schmidt", draw(state), f"--alphas={alphas}", "--csv", "out.csv"]
+    if command == "bound":
+        return ["bound", draw(state), draw(state), f"--grid={number(st.integers(-3, 50))}",
+                f"--copies={number(st.integers(-1, 3))}",
+                f"--equiv-tol={number(st.floats(allow_nan=False, allow_infinity=False))}",
+                "--csv", "out.csv"]
+    if command == "dilution":
+        return ["dilution", f"--theta={number(st.floats(-1.0, 1.0))}",
+                f"--n={number(st.integers(-2, 50))}", f"--samples={number(st.integers(-1, 20))}",
+                f"--alphas={alphas}"]
+    monotone = draw(st.sampled_from(["e0", "e1", "e_alpha:0.5", "trace_fn:linear"]))
+    seed = f"--seed={number(st.integers(0, 99))}"
+    if command == "check":
+        dims = f"{number(st.integers(-1, 3))}x{number(st.integers(-1, 3))}"
+        return ["check", "--condition", draw(st.sampled_from(["c1", "c2"])),
+                "--monotone", monotone, f"--trials={number(st.integers(-3, 5))}",
+                f"--dims={dims}", seed, "--csv", "out.csv"]
+    return ["roof", draw(state), "--monotone", monotone,
+            f"--iterations={number(st.integers(-3, 20))}",
+            f"--restarts={number(st.integers(-3, 20))}", seed]
+
+
+class TestCliProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(argv=cli_arguments())
+    @example(argv=["schmidt", "ulp", "--alphas=0.5,0.75", "--csv", "out.csv"])
+    @example(argv=["schmidt", "bell", "--alphas=-0.0", "--csv", "out.csv"])
+    def test_clean_exit_and_finite_output(self, state_dir, argv):
+        """Every command exits 0, 2, 3 or 4 and prints no nan, inf or -0."""
+        csv = state_dir / "out.csv"
+        csv.unlink(missing_ok=True)
+        paths = {name: str(state_dir / f"{name}.json") for name in STATE_FILES}
+        argv = [paths.get(arg, str(csv) if arg == "out.csv" else arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        assert code in (0, 2, 3, 4), err.getvalue()
+        text = out.getvalue() + (csv.read_text() if csv.exists() else "")
+        assert not BAD_NUMBER.search(text), text

@@ -255,6 +255,18 @@ class TestStackContract:
                 assert value == 0.0 and not np.signbit(value)
             assert not np.any(np.signbit(spec.g(np.eye(n))))
 
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 4), length=st.integers(1, 6), data=st.data())
+    def test_point_distributions_short_of_one_are_positive(self, k, length, data):
+        # a weight of 1 - k ulp takes log2(sum p^alpha) a few ulps below 0
+        p = np.zeros(length)
+        p[data.draw(st.integers(0, length - 1))] = 1.0 - k * 2.0**-53
+        orders = [0.0, 0.25, 0.5, 1.0 - 1e-6, 1.0 - 1e-13, 1.0]
+        for values in ([renyi_entropy(p, alpha) for alpha in orders],
+                       renyi_entropy(p, np.array(orders)),
+                       renyi_entropy(np.array([p, p]), np.array(orders)).ravel()):
+            assert np.all(np.asarray(values) >= 0.0) and not np.any(np.signbit(values))
+
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0 - 1e-6, 1.0 - 1e-13, 1.0])
     def test_delta_e_alpha_endpoints_give_positive_zero(self, alpha):
         for fidelity in (0.0, 1.0):

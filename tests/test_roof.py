@@ -14,7 +14,7 @@ from entmono import (
     roof_estimate,
 )
 from entmono.monotones import alpha_entropy_spec
-from entmono.roof import _random_isometry
+from entmono.states import _haar_isometry
 
 E1 = alpha_entropy_spec(1.0)
 
@@ -59,13 +59,13 @@ class TestEnsembleFromIsometry:
 
     def test_probabilities_sum_to_one(self, rng):
         rho = benchmark_state()
-        members = ensemble_from_isometry(rho, _random_isometry(4, 2, rng), 2, 2)
+        members = ensemble_from_isometry(rho, _haar_isometry(4, 2, rng), 2, 2)
         assert sum(p for p, _ in members) == pytest.approx(1.0, abs=1e-10)
 
     def test_reconstruction(self, rng):
         rho = benchmark_state()
         for m in (2, 3, 5):
-            members = ensemble_from_isometry(rho, _random_isometry(m, 2, rng), 2, 2)
+            members = ensemble_from_isometry(rho, _haar_isometry(m, 2, rng), 2, 2)
             acc = sum(p * np.outer(s.amplitudes, s.amplitudes.conj()) for p, s in members)
             assert np.max(np.abs(acc - rho.entries)) < 1e-10
 
@@ -81,7 +81,7 @@ class TestEnsembleFromIsometry:
 
     def test_round_trip_through_isometry_of_ensemble(self, rng):
         rho = benchmark_state()
-        members = ensemble_from_isometry(rho, _random_isometry(3, 2, rng), 2, 2)
+        members = ensemble_from_isometry(rho, _haar_isometry(3, 2, rng), 2, 2)
         v = isometry_of_ensemble(rho, members)
         again = ensemble_from_isometry(rho, v, 2, 2)
         for (p1, s1), (p2, s2) in zip(members, again):
@@ -120,7 +120,7 @@ class TestRoofEstimate:
     def test_certificate_invariants(self, rng):
         rho = benchmark_state()
         est = roof_estimate(rho, 2, 2, E1, restarts=4, iterations=200, seed=2)
-        assert np.max(np.abs(est.reconstruction(4) - rho.entries)) < 1e-8
+        assert np.max(np.abs(est.reconstruction() - rho.entries)) < 1e-8
         recomputed = sum(p * E1(psi) for p, psi in est.ensemble)
         assert recomputed == pytest.approx(est.value, abs=1e-10)
 
@@ -162,13 +162,13 @@ class TestRoofEdgeCases:
         # padded to six rows, so many steps rotate two zero rows in both runs.
         rho = benchmark_state()
         eigen = ensemble_from_isometry(rho, np.eye(2), 2, 2)
-        start = ensemble_from_isometry(rho, _random_isometry(2, 2, np.random.default_rng(3)), 2, 2)
+        start = ensemble_from_isometry(rho, _haar_isometry(2, 2, np.random.default_rng(3)), 2, 2)
         est = roof_estimate(rho, 2, 2, E1, m=6, restarts=1, iterations=120, seed=4,
                             initial_isometries=[isometry_of_ensemble(rho, start)])
         assert est.restarts == 2 and est.m == 6
         assert est.value <= min(sum(p * E1(psi) for p, psi in ens) for ens in (eigen, start)) + 1e-12
         assert est.value >= BENCHMARK_ORACLE - 1e-9
-        assert np.max(np.abs(est.reconstruction(4) - rho.entries)) < 1e-10
+        assert np.max(np.abs(est.reconstruction() - rho.entries)) < 1e-10
 
     @pytest.mark.parametrize("m", [None, 1, 2])
     def test_rank_one_state(self, rng, m):
@@ -182,7 +182,15 @@ class TestRoofEdgeCases:
         est = roof_estimate(rho, 2, 2, E1, m=3, restarts=3, iterations=200, seed=6)
         assert est.m == 3 and len(est.ensemble) <= 3
         assert est.value >= wootters_eof(rho.entries) - 1e-9
-        assert np.max(np.abs(est.reconstruction(4) - rho.entries)) < 1e-10
+        assert np.max(np.abs(est.reconstruction() - rho.entries)) < 1e-10
+
+    def test_supplied_start_must_be_an_isometry(self, rng):
+        # A scaled isometry realizes four times rho; it never wins the search,
+        # so only a check on entry can catch it.
+        rho = benchmark_state()
+        with pytest.raises(ValueError, match="not orthonormal"):
+            roof_estimate(rho, 2, 2, E1, restarts=1, iterations=10, seed=0,
+                          initial_isometries=[2.0 * _haar_isometry(3, 2, rng)])
 
     def test_zero_iterations_returns_best_start(self, rng):
         rho = random_density_matrix(6, rng, rank=3)
@@ -204,7 +212,7 @@ def test_restarts_are_prefixes_and_certificates_hold(dims, rank, state_seed):
     values = []
     for restarts in (1, 2, 3, 4):
         est = roof_estimate(rho, *dims, E1, restarts=restarts, iterations=60, seed=17)
-        assert np.max(np.abs(est.reconstruction(dim) - rho.entries)) < 1e-8
+        assert np.max(np.abs(est.reconstruction() - rho.entries)) < 1e-8
         assert sum(p * E1(psi) for p, psi in est.ensemble) == pytest.approx(est.value, abs=1e-10)
         values.append(est.value)
     assert all(later <= earlier + 1e-12 for earlier, later in zip(values, values[1:]))
