@@ -2,7 +2,8 @@
 
 Numeric CSV cells carry 12 significant digits; human-readable summaries are
 printed at 4 digits.  The default seed comes from the ENTMONO_SEED environment
-variable (0 when unset).  Exit codes: 0 success, 2 parse error, 3 precondition
+variable (0 when unset).  Exit codes: 0 success, 1 standard output closed by
+its reader (``entmono bound A B | head -1``), 2 parse error, 3 precondition
 violation, 4 property-check failure.
 """
 
@@ -29,6 +30,7 @@ from .statefile import (
 from .states import PureState, SchmidtSpectrum, schmidt
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_PROPERTY = 4
@@ -246,7 +248,16 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: send what is still buffered to
+        # devnull, so that the flush at exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

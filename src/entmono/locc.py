@@ -21,11 +21,19 @@ from .states import (
     DensityMatrix,
     OutcomeEnsemble,
     PureState,
-    _dims_of,
+    _clamped_squares,
+    _complex_normal,
+    _first_off_one,
     _kraus_outcome,
     _matrix_of,
     _mixture,
+    _phase_fixed_qr,
+    _require_distributions,
+    _require_unit_norms,
+    _spectrum_rows,
+    _to_matrix,
     _trace_out,
+    _unit_rows,
     ensure_rng,
     haar_unitary,
     random_pure_state,
@@ -35,6 +43,7 @@ from .states import (
 COMPLETENESS_TOL = 1e-9
 MEASUREMENT_TOL = 1e-10
 MONOTONICITY_TOL = 1e-9  # a C1/C2 margin below -MONOTONICITY_TOL is a violation
+C1_BLOCK = 128  # check_c1 stacks this many trials at a time, so its memory is flat in the trial count
 
 
 @dataclass(frozen=True)
@@ -63,12 +72,7 @@ class UnilocalOperation:
         if len({s[1] for s in shapes}) != 1 or len({s[0] for s in shapes}) != 1:
             raise ValueError(f"all Kraus operators must share one shape, got {shapes}")
         total = sum(op.conj().T @ op for _, ops in outcomes for op in ops)
-        gap = np.eye(self.dim_in) - total
-        if np.max(np.abs(gap - gap.conj().T)) > COMPLETENESS_TOL:
-            raise ValueError("completeness violation: sum K^dag K is not Hermitian")
-        if float(np.min(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)))) < -COMPLETENESS_TOL:
-            raise ValueError("completeness violation: sum K^dag K exceeds the identity")
-        object.__setattr__(self, "_tp", bool(np.max(np.abs(gap)) <= COMPLETENESS_TOL))
+        object.__setattr__(self, "_tp", bool(_trace_preserving(total)))
 
     @property
     def dim_in(self) -> int:
@@ -81,6 +85,21 @@ class UnilocalOperation:
     @property
     def is_trace_preserving(self) -> bool:
         return self._tp
+
+
+def _trace_preserving(total: np.ndarray):
+    """Completeness of a stack (..., d, d) of sums K^dag K: True where the sum is the identity.
+
+    Raises unless every sum is Hermitian and at most the identity, both within
+    ``COMPLETENESS_TOL``.
+    """
+    gap = np.eye(total.shape[-1]) - total
+    gap_h = np.swapaxes(gap.conj(), -1, -2)
+    if np.max(np.abs(gap - gap_h)) > COMPLETENESS_TOL:
+        raise ValueError("completeness violation: sum K^dag K is not Hermitian")
+    if float(np.min(np.linalg.eigvalsh(0.5 * (gap + gap_h)))) < -COMPLETENESS_TOL:
+        raise ValueError("completeness violation: sum K^dag K exceeds the identity")
+    return np.max(np.abs(gap), axis=(-2, -1)) <= COMPLETENESS_TOL
 
 
 def unilocal_unitary(party: str, u) -> UnilocalOperation:
@@ -106,7 +125,11 @@ def apply_unilocal(state, op: UnilocalOperation, dim_a=None, dim_b=None) -> Outc
     tolerance) is rejected, since the result would not be a proper ensemble.
     """
     pure = isinstance(state, PureState)
-    dim_a, dim_b = _dims_of(state, dim_a, dim_b)
+    if pure:
+        # a pure input never builds its density matrix
+        m, dim_a, dim_b = state.coefficient_matrix, state.dim_a, state.dim_b
+    else:
+        mat, (dim_a, dim_b) = _to_matrix(state, dim_a, dim_b)
     on_a = op.party == "A"
     dim = dim_a if on_a else dim_b
     if op.dim_in != dim:
@@ -114,34 +137,51 @@ def apply_unilocal(state, op: UnilocalOperation, dim_a=None, dim_b=None) -> Outc
                          f"state has {dim}")
     out_a, out_b = (op.dim_out, dim_b) if on_a else (dim_a, op.dim_out)
     # A pure input is the one-column map C -> H: each Kraus operator K gives
-    # the column (K (x) I) psi, computed on the coefficient matrix M as K M
-    # (party A) or M K^T (party B), and several columns sum to a mixed outcome.
-    m = state.coefficient_matrix if pure else None
-    mat = np.ones((1, 1)) if pure else _matrix_of(state)
-
-    items = []
+    # the column (K (x) I) psi, computed on the coefficient matrix M, and
+    # several columns sum to a mixed outcome.
+    probs, states = [], []
     for _, ops in op.outcomes:
-        if pure:
-            ops = [(k @ m if on_a else m @ k.T).reshape(-1, 1) for k in ops]
+        if pure and len(ops) == 1:
+            v = _kraus_products(ops[0], m, on_a)
+            p = float(_sq_norms(v.reshape(-1)))
+            out = PureState(out_a, out_b, v / np.sqrt(p)) if p >= OUTCOME_FLOOR else None
+        elif pure:
+            columns = [_kraus_products(k, m, on_a).reshape(-1, 1) for k in ops]
+            out, p = _kraus_outcome(np.ones((1, 1)), columns)
         else:
             ops = [np.kron(k, np.eye(dim_b)) if on_a else np.kron(np.eye(dim_a), k) for k in ops]
-        if pure and len(ops) == 1:
-            p = float(np.real(np.vdot(ops[0], ops[0])))
-            if p >= OUTCOME_FLOOR:
-                items.append((p, PureState(out_a, out_b, ops[0] / np.sqrt(p))))
-            continue
-        rho, p = _kraus_outcome(mat, ops)
-        if rho is not None:
-            items.append((p, rho))
+            out, p = _kraus_outcome(mat, ops)
+        probs.append(0.0 if out is None else p)
+        states.append(out)
+    weights = _outcome_weights(np.array(probs), op.is_trace_preserving)
+    return OutcomeEnsemble(tuple((float(w), s) for w, s in zip(weights, states) if s is not None))
 
-    total = sum(p for p, _ in items)
-    if abs(total - 1.0) > 1e-9:
+
+def _kraus_products(kraus: np.ndarray, m: np.ndarray, on_a: bool) -> np.ndarray:
+    """K M (party A) or M K^T (party B): Kraus operators on coefficient matrices; stacks broadcast."""
+    return kraus @ m if on_a else m @ np.swapaxes(kraus, -1, -2)
+
+
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each row of ``v`` (last axis) as a 1 x n @ n x 1 product, as np.vdot gives it."""
+    return np.real(v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _outcome_weights(p: np.ndarray, trace_preserving) -> np.ndarray:
+    """Settled outcome probabilities along the last axis, with dropped outcomes given as 0.
+
+    Each total is summed left to right.  A total off 1 by more than 1e-9 means
+    the operation loses weight on this input and raises; where the operation
+    is trace preserving, a total off 1 by more than 1e-12 is renormalized.
+    """
+    total = np.add.accumulate(p, axis=-1)[..., -1:]
+    lossy = _first_off_one(total, 1e-9)
+    if lossy is not None:
         raise ValueError(
-            f"outcome probabilities sum to {total!r}; the operation is not trace preserving on this input"
+            f"outcome probabilities sum to {lossy!r}; the operation is not trace preserving on this input"
         )
-    if op.is_trace_preserving and abs(total - 1.0) > 1e-12:
-        items = [(p / total, s) for p, s in items]
-    return OutcomeEnsemble(tuple(items))
+    drift = np.asarray(trace_preserving)[..., None] & (abs(total - 1.0) > 1e-12)
+    return np.where(drift, p / total, p)
 
 
 def add_ancilla(state, party: str, ancilla, dim_a=None, dim_b=None) -> DensityMatrix:
@@ -151,8 +191,8 @@ def add_ancilla(state, party: str, ancilla, dim_a=None, dim_b=None) -> DensityMa
     A | (B, anc); in both cases the ancilla is the inner (fastest-varying)
     index of the extended factor.
     """
-    dim_a, dim_b = _dims_of(state, dim_a, dim_b)
-    rho, anc = _matrix_of(state), _matrix_of(ancilla)
+    rho, (dim_a, dim_b) = _to_matrix(state, dim_a, dim_b)
+    anc = _matrix_of(ancilla)
     dq = anc.shape[0]
     if party == "B":
         return DensityMatrix(dim_a * dim_b * dq, np.kron(rho, anc))
@@ -276,10 +316,18 @@ def random_unilocal_operation(party: str, dim: int, n_outcomes: int, rng=None) -
     outcome operators are read off the ancilla basis.  Completeness holds by
     construction, and every outcome of a pure input stays pure.
     """
-    rng = ensure_rng(rng)
-    u = haar_unitary(dim * n_outcomes, rng).reshape(dim, n_outcomes, dim, n_outcomes)
-    outcomes = tuple((str(k), (u[:, k, :, 0],)) for k in range(n_outcomes))
-    return UnilocalOperation(party, outcomes)
+    kraus = _dilation_kraus(haar_unitary(dim * n_outcomes, ensure_rng(rng)), dim, n_outcomes)
+    return UnilocalOperation(party, tuple((str(k), (op,)) for k, op in enumerate(kraus)))
+
+
+def _dilation_kraus(u: np.ndarray, dim: int, n_outcomes: int) -> np.ndarray:
+    """Kraus operators <k|_anc U |0>_anc of unitaries U on party (x) ancilla.
+
+    ``u`` is a stack (..., dim * n, dim * n) with the ancilla as the inner
+    index; the result is a view of shape (..., n, dim, dim).
+    """
+    u = u.reshape(u.shape[:-2] + (dim, n_outcomes, dim, n_outcomes))[..., 0]
+    return np.moveaxis(u, -2, -3)
 
 
 @dataclass(frozen=True)
@@ -356,27 +404,91 @@ def check_c1(monotone, trials: int = 10_000, dims=(4, 4), seed=0) -> Monotonicit
     mu(psi) >= sum_k p_k mu(psi_k) - ``MONOTONICITY_TOL``.  Accepts a single spec or a
     sequence evaluated on the same trial stream.  Trials use per-trial derived
     seeds, so aggregates are deterministic for a fixed master seed.
+
+    Trials run in blocks of ``C1_BLOCK``: each trial draws its numbers from its
+    own stream, then the block's linear algebra is done on stacks (see
+    ``_c1_block``).  Every record is bitwise the one that ``random_pure_state``,
+    ``random_unilocal_operation``, ``apply_unilocal`` and ``schmidt`` give
+    trial by trial.
     """
     if trials < 0:
         raise ValueError(f"trial count must be non-negative, got {trials!r}")
     specs = _as_spec_list(monotone)
     dims = (int(dims[0]), int(dims[1]))
     report = MonotonicityReport("C1", trials, dims, seed, MONOTONICITY_TOL)
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for t in range(trials):
-        rng = np.random.default_rng(children[t])
-        psi = random_pure_state(*dims, rng)
-        party = "A" if rng.random() < 0.5 else "B"
-        n_out = int(rng.integers(2, 5))
-        op = random_unilocal_operation(party, dims[0] if party == "A" else dims[1], n_out, rng)
-        ensemble = apply_unilocal(psi, op)
-        # one stack: the spectrum before, then one per outcome (all of psi's dims)
-        stack = np.array([schmidt(psi)[0].values] + [schmidt(s)[0].values for _, s in ensemble])
-        for spec in specs:
-            values = spec.g(stack)
-            after = float(sum(p * float(v) for (p, _), v in zip(ensemble, values[1:])))
-            report.records.append(TrialRecord(t, spec.name, float(values[0]), after))
+    names = [spec.name for spec in specs]
+    streams = np.random.SeedSequence(seed)
+    for first in range(0, trials, C1_BLOCK):
+        # spawn is prefix-stable: block by block gives the same streams as all at once
+        before, after = _c1_block(streams.spawn(min(C1_BLOCK, trials - first)), dims, specs)
+        for t, values in enumerate(zip(before.T.tolist(), after.T.tolist()), start=first):
+            report.records += [TrialRecord(t, name, b, a) for name, b, a in zip(names, *values)]
     return report
+
+
+def _c1_block(children, dims, specs):
+    """(before, after) arrays of shape (len(specs), len(children)) for one block of C1 trials.
+
+    Each trial's generator draws, in order: the state's Gaussian vector (as
+    ``random_pure_state``), the party, the outcome count, and the Gaussian
+    block of the Haar unitary (as ``random_unilocal_operation``).  Then, for
+    the whole block: one normalization of the states, one phase-fixed QR and
+    one stack of Kraus products per (party, outcome count) group, one SVD over
+    the states and all kept outcomes, one ``g`` call per spec, and the
+    after-averages summed left to right from 0 as ``sum`` does.  Every check
+    of the per-trial objects is kept, on stacks.
+    """
+    dim_a, dim_b = dims
+    if dim_a < 1 or dim_b < 1:
+        raise ValueError("local dimensions must be positive")
+    draws = []
+    for child in children:
+        rng = np.random.default_rng(child)
+        z = _complex_normal(rng, dim_a * dim_b)
+        on_a = bool(rng.random() < 0.5)
+        n_out = int(rng.integers(2, 5))
+        dim = dim_a if on_a else dim_b
+        draws.append((z, (on_a, n_out), _complex_normal(rng, (dim * n_out, dim * n_out))))
+    n = len(draws)
+    psi = _unit_rows(np.array([z for z, _, _ in draws]))
+    _require_unit_norms(np.sqrt(_sq_norms(psi)))
+    m = psi.reshape(n, dim_a, dim_b)
+
+    groups = {}
+    for t, (_, key, _) in enumerate(draws):
+        groups.setdefault(key, []).append(t)
+    # kept outcomes, group by group: their trial, slot 1..n_out, weight and normalized matrix
+    trial, slot, weight, mats = [], [], [], [m]
+    for (on_a, n_out), idx in groups.items():
+        dim = dim_a if on_a else dim_b
+        kraus = _dilation_kraus(_phase_fixed_qr(np.array([draws[t][2] for t in idx])), dim, n_out)
+        tp = _trace_preserving((np.swapaxes(kraus.conj(), -1, -2) @ kraus).sum(axis=1))
+        v = _kraus_products(kraus, m[idx, None], on_a)
+        p = _sq_norms(v.reshape(len(idx), n_out, -1))
+        kept = p >= OUTCOME_FLOOR
+        w = _outcome_weights(np.where(kept, p, 0.0), tp)
+        _require_distributions(w)
+        rows, k = np.nonzero(kept)
+        v = v[kept] / np.sqrt(p[kept])[:, None, None]
+        _require_unit_norms(np.sqrt(_sq_norms(v.reshape(len(v), -1))))
+        trial.append(np.asarray(idx)[rows])
+        slot.append(k + 1)
+        weight.append(w[kept])
+        mats.append(v)
+    trial, slot, weight = (np.concatenate(a) for a in (trial, slot, weight))
+    # the full SVD, as schmidt runs it: compute_uv=False can differ in the last bits
+    singular = np.linalg.svd(np.concatenate(mats), full_matrices=False)[1]
+    spectra = _spectrum_rows(_clamped_squares(singular))
+
+    before, after = np.empty((len(specs), n)), np.empty((len(specs), n))
+    # column 0 is the 0 that sum() starts from; dropped and missing outcomes add 0
+    terms = np.zeros((n, slot.max() + 1))
+    for j, spec in enumerate(specs):
+        values = spec.g(spectra)
+        before[j] = values[:n]
+        terms[trial, slot] = weight * values[n:]
+        after[j] = np.add.accumulate(terms, axis=1)[:, -1]
+    return before, after
 
 
 def check_c2(monotone, trials: int = 200, dims=(2, 2), seed=0,

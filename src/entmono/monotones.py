@@ -90,10 +90,11 @@ def renyi_entropy(p, alpha):
     p = np.array(p, dtype=float, ndmin=1)
     if p.size == 0:
         raise ValueError("probability vector must be non-empty")
-    if p.min() < -PROB_NEG_TOL:
-        raise ValueError("probability vector has a negative entry")
+    # written so that NaN fails both checks
+    if not p.min() >= -PROB_NEG_TOL:
+        raise ValueError("probability vector has a negative or NaN entry")
     totals = p.sum(axis=-1).reshape(-1)
-    off = totals[abs(totals - 1.0) > 1e-9]
+    off = totals[~(abs(totals - 1.0) <= 1e-9)]
     if off.size:
         raise ValueError(f"probabilities sum to {float(off[0])!r}, expected 1 within 1e-9")
     p = np.maximum(p, 0.0)

@@ -27,6 +27,44 @@ def ensure_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _first_off_one(values, tol):
+    """The first of ``values`` (flattened) farther than ``tol`` from 1, NaN included, or None."""
+    values = np.reshape(values, -1)
+    off = values[~(abs(values - 1.0) <= tol)]
+    return float(off[0]) if off.size else None
+
+
+def _require_unit_norms(norms) -> None:
+    """Raise unless every state-vector norm in ``norms`` is within ``NORM_TOL`` of 1."""
+    norm = _first_off_one(norms, NORM_TOL)
+    if norm is not None:
+        raise ValueError(f"state vector norm {norm!r} differs from 1 by more than {NORM_TOL}")
+
+
+def _require_distributions(probs: np.ndarray) -> None:
+    """Raise unless every row of ``probs`` is non-negative and sums to 1, both within ``PROB_TOL``."""
+    if not probs.min() >= -PROB_TOL:
+        raise ValueError("ensemble probabilities must be non-negative")
+    total = _first_off_one(probs.sum(axis=-1), PROB_TOL)
+    if total is not None:
+        raise ValueError(f"ensemble probabilities sum to {total!r}, expected 1")
+
+
+def _spectrum_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of ``v`` checked to be spectra, clipped into [0, 1] and sorted descending.
+
+    Entries must lie in [0, 1] within ``SPECTRUM_CLAMP``, and each row must sum
+    to 1 within ``NORM_TOL``.
+    """
+    if not (v.min() >= -SPECTRUM_CLAMP and v.max() <= 1.0 + SPECTRUM_CLAMP):
+        raise ValueError("spectrum entries must lie in [0, 1]")
+    v = np.sort(np.clip(v, 0.0, 1.0), axis=-1)[..., ::-1].copy()
+    total = _first_off_one(v.sum(axis=-1), NORM_TOL)
+    if total is not None:
+        raise ValueError(f"spectrum sums to {total!r}, expected 1 within {NORM_TOL}")
+    return v
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector on a bipartite product space."""
@@ -45,9 +83,7 @@ class PureState:
                 f"amplitude vector has length {amps.size}, expected "
                 f"{self.dim_a * self.dim_b} = {self.dim_a}*{self.dim_b}"
             )
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state vector norm {norm!r} differs from 1 by more than {NORM_TOL}")
+        _require_unit_norms(np.linalg.norm(amps))
 
     @property
     def coefficient_matrix(self) -> np.ndarray:
@@ -107,13 +143,7 @@ class SchmidtSpectrum:
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if v.size == 0:
             raise ValueError("spectrum must be non-empty")
-        if not (float(v.min()) >= -SPECTRUM_CLAMP and float(v.max()) <= 1.0 + SPECTRUM_CLAMP):
-            raise ValueError("spectrum entries must lie in [0, 1]")
-        v = np.sort(np.clip(v, 0.0, 1.0))[::-1].copy()
-        object.__setattr__(self, "values", v)
-        total = float(v.sum())
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise ValueError(f"spectrum sums to {total!r}, expected 1 within {NORM_TOL}")
+        object.__setattr__(self, "values", _spectrum_rows(v))
 
     def padded(self, length: int) -> np.ndarray:
         if length < self.values.size:
@@ -138,10 +168,7 @@ class OutcomeEnsemble:
         probs = np.array([p for p, _ in items])
         if probs.size == 0:
             raise ValueError("ensemble must have at least one outcome")
-        if not float(probs.min()) >= -PROB_TOL:
-            raise ValueError("ensemble probabilities must be non-negative")
-        if not abs(float(probs.sum()) - 1.0) <= PROB_TOL:
-            raise ValueError(f"ensemble probabilities sum to {float(probs.sum())!r}, expected 1")
+        _require_distributions(probs)
 
     def __iter__(self):
         return iter(self.items)
@@ -163,18 +190,17 @@ def _matrix_of(state) -> np.ndarray:
     return state.entries if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
 
 
-def _dims_of(state, dim_a, dim_b):
-    """(dim_a, dim_b) of a state: a PureState carries its own, any other state needs both given."""
-    if isinstance(state, PureState):
-        return state.dim_a, state.dim_b
-    if dim_a is None or dim_b is None:
-        raise ValueError("dim_a and dim_b are required for matrix input")
-    return dim_a, dim_b
-
-
 def _to_matrix(state, dim_a, dim_b):
-    """Normalize the (state, dims) calling conventions to (matrix, (dim_a, dim_b))."""
-    dims = _dims_of(state, dim_a, dim_b)
+    """Normalize the (state, dims) calling conventions to (matrix, (dim_a, dim_b)).
+
+    A PureState carries its own dims; any other state needs both given.
+    """
+    if isinstance(state, PureState):
+        dims = state.dim_a, state.dim_b
+    elif dim_a is None or dim_b is None:
+        raise ValueError("dim_a and dim_b are required for matrix input")
+    else:
+        dims = dim_a, dim_b
     m = _matrix_of(state)
     d = dims[0] * dims[1]
     if m.shape != (d, d):
@@ -281,6 +307,11 @@ def maximally_entangled(n: int) -> PureState:
     return PureState.from_coefficient_matrix(np.eye(n) / np.sqrt(n))
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian array: all real parts are drawn first, then the imaginary parts."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def haar_unitary(dim: int, rng=None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     return _haar_isometry(dim, dim, ensure_rng(rng))
@@ -288,29 +319,37 @@ def haar_unitary(dim: int, rng=None) -> np.ndarray:
 
 def _haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random rows x cols isometry: the phase-fixed Q of a complex Gaussian block."""
-    return _phase_fixed_qr(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
+    return _phase_fixed_qr(_complex_normal(rng, (rows, cols)))
 
 
 def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
-    """Q of z = QR, phases fixed so R's nonzero diagonal is positive (Haar for Gaussian z)."""
+    """Q of z = QR, phases fixed so R's nonzero diagonal is positive (Haar for Gaussian z).
+
+    ``z`` may be a stack (..., rows, cols); each matrix is factored on its own.
+    """
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of ``z`` (last axis) divided by its 2-norm, computed as ``np.linalg.norm`` does it."""
+    re, im = z.real[..., None, :], z.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return z / np.sqrt(sq[..., 0])
 
 
 def random_pure_state(dim_a: int, dim_b: int, rng=None) -> PureState:
     """Haar-uniform pure state from a normalized complex Gaussian vector."""
-    rng = ensure_rng(rng)
-    z = rng.normal(size=dim_a * dim_b) + 1j * rng.normal(size=dim_a * dim_b)
-    return PureState(dim_a, dim_b, z / np.linalg.norm(z))
+    return PureState(dim_a, dim_b, _unit_rows(_complex_normal(ensure_rng(rng), dim_a * dim_b)))
 
 
 def random_density_matrix(dim: int, rng=None, rank=None) -> DensityMatrix:
     """Unit-trace Wishart matrix G G^dag / tr with G a dim x rank Gaussian."""
     rng = ensure_rng(rng)
     rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    g = _complex_normal(rng, (dim, rank))
     m = g @ g.conj().T
     return DensityMatrix(dim, m / np.trace(m))
 

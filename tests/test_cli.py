@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 
 import pytest
@@ -163,6 +164,26 @@ class TestBoundCommand:
         assert main(["bound", files["source"], files["target"], f"--equiv-tol={tol}"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "equivalence tolerance" in captured.err
+
+    def test_closed_pipe_exits_1_without_traceback(self, files, tmp_path, capsys):
+        # as in `entmono bound A B | head -1` once head has exited
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        try:
+            with contextlib.redirect_stdout(ClosedPipe()):
+                assert main(["bound", files["source"], files["target"]]) == 1
+            # the descriptor now points at devnull, so the flush at exit cannot fail
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
 
     def test_one_point_grid_is_alpha_zero(self, files, capsys):
         assert main(["bound", files["source"], files["target"], "--grid", "1"]) == 0

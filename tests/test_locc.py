@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmono import (
     DensityMatrix,
@@ -27,6 +31,8 @@ from entmono import (
     schmidt,
     unilocal_unitary,
 )
+from entmono import locc
+from entmono.locc import TrialRecord
 from entmono.monotones import alpha_entropy_spec
 
 from conftest import random_traceless_hermitian
@@ -133,6 +139,13 @@ class TestApplyUnilocal:
         ensemble = apply_unilocal(rho, op, dim_a=2, dim_b=2)
         assert sum(p for p, _ in ensemble) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_density_matrix_of_wrong_shape_rejected(self, party):
+        # the operation fits the declared dims 2x3; the 4x4 matrix does not
+        op = unilocal_unitary(party, np.eye(2 if party == "A" else 3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_unilocal(density_of(BELL), op, 2, 3)
+
 
 def _random_kraus(dim_in, dim_out, n_out, rng):
     """n_out operators dim_in -> dim_out with sum K^dag K = I: blocks of an isometry."""
@@ -198,6 +211,12 @@ class TestAncilla:
         onto_a = add_ancilla(psi, "A", anc)
         back = dismiss_part(onto_a, (2, 2, 3), 1)
         assert np.max(np.abs(back.entries - base.entries)) < 1e-10
+
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_density_matrix_of_wrong_shape_rejected(self, party):
+        anc = DensityMatrix(2, np.diag([1.0, 0.0]).astype(complex))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            add_ancilla(density_of(BELL), party, anc, 2, 3)
 
     def test_dismiss_unknown_factor(self):
         rho = density_of(BELL)
@@ -326,6 +345,65 @@ class TestCheckC1:
         report = check_c1(E1, trials=20, dims=(2, 2), seed=1)
         text = "\n".join(report.summary_lines())
         assert "C1" in text and "violations: 0" in text
+
+
+C1_SPECS = [monotone_by_name(name) for name in
+            ("e0", "e1", "e_alpha:0.5", "trace_fn:linear", "trace_fn:shannon", "control:sum_squares")]
+
+
+def reference_c1(specs, trials, dims, seed):
+    """The C1 screen trial by trial through the public per-trial functions, one g call per trial."""
+    records = []
+    children = np.random.SeedSequence(seed).spawn(trials)
+    for t in range(trials):
+        rng = np.random.default_rng(children[t])
+        psi = random_pure_state(*dims, rng)
+        party = "A" if rng.random() < 0.5 else "B"
+        n_out = int(rng.integers(2, 5))
+        op = random_unilocal_operation(party, dims[0] if party == "A" else dims[1], n_out, rng)
+        ensemble = apply_unilocal(psi, op)
+        stack = np.array([schmidt(psi)[0].values] + [schmidt(s)[0].values for _, s in ensemble])
+        for spec in specs:
+            values = spec.g(stack)
+            after = float(sum(p * float(v) for (p, _), v in zip(ensemble, values[1:])))
+            records.append(TrialRecord(t, spec.name, float(values[0]), after))
+    return records
+
+
+def record_bits(records):
+    """Records with their values as exact hex strings, so that -0.0 and 0.0 differ."""
+    return [(rec.trial, rec.monotone, rec.before.hex(), rec.after_avg.hex()) for rec in records]
+
+
+class TestBlockedC1:
+    """check_c1 stacks a block's linear algebra; its records are those of the per-trial screen."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 6), (3, 5), (6, 2), (8, 8), (1, 3), (3, 1), (1, 1)])
+    def test_records_equal_the_per_trial_screen(self, dims):
+        report = check_c1(C1_SPECS, trials=30, dims=dims, seed=3)
+        assert record_bits(report.records) == record_bits(reference_c1(C1_SPECS, 30, dims, 3))
+
+    def test_equal_across_a_block_boundary(self):
+        trials = locc.C1_BLOCK + 5
+        report = check_c1(C1_SPECS, trials=trials, dims=(2, 3), seed=4)
+        assert record_bits(report.records) == record_bits(reference_c1(C1_SPECS, trials, (2, 3), 4))
+
+    @settings(max_examples=25, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (1, 3), (3, 2)]), seed=st.integers(0, 3),
+           block=st.integers(1, 9), total=st.integers(1, 24), data=st.data())
+    def test_fewer_trials_give_a_prefix(self, dims, seed, block, total, data):
+        # SeedSequence.spawn is prefix-stable, so neither the trial count nor
+        # the block size changes the records of the first trials
+        k = data.draw(st.integers(0, total - 1), label="k")
+        full = check_c1(C1_SPECS, trials=total, dims=dims, seed=seed)
+        with mock.patch.object(locc, "C1_BLOCK", block):
+            part = check_c1(C1_SPECS, trials=k, dims=dims, seed=seed)
+        assert record_bits(part.records) == record_bits(full.records[:k * len(C1_SPECS)])
+
+    @pytest.mark.parametrize("dims", [(0, 3), (-1, 2)])
+    def test_nonpositive_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="positive"):
+            check_c1(E1, trials=1, dims=dims)
 
 
 class TestCheckC2:

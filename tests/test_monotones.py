@@ -66,6 +66,12 @@ class TestRenyiEntropy:
         with pytest.raises(ValueError, match="sum"):
             renyi_entropy([0.5, 0.4], 0.5)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0 - 1e-6, 1.0, [0.0, 0.5, 1.0]])
+    @pytest.mark.parametrize("p", [[np.nan, 1.0], [1.0, np.nan], [np.nan], [[0.5, 0.5], [np.nan, 1.0]]])
+    def test_rejects_nan(self, p, alpha):
+        with pytest.raises(ValueError, match="NaN"):
+            renyi_entropy(p, alpha)
+
     @settings(max_examples=200, deadline=None)
     @given(p=simplex_points(), a1=st.floats(0, 1), a2=st.floats(0, 1))
     def test_monotone_in_alpha(self, p, a1, a2):
