@@ -125,16 +125,10 @@ def cmd_dilution(args) -> int:
     print(f"E_1 per copy of the target: {target.entanglement(1.0):.4f}")
     header = ["x", "r", "M_of_r", "T", "F_paper", "F_normalized", "e1"]
     header += [f"e_alpha:{alpha:g}" for alpha in alphas]
-    rows = []
-    for i, x in enumerate(curve.x_samples):
-        row = [x, float(curve.r_values[i]), curve.m_of_r[i], curve.tail[i],
-               curve.fidelity_paper[i], curve.fidelity_normalized[i], curve.e1_per_copy[i]]
-        row += [curve.e_alpha_per_copy[alpha][i] for alpha in alphas]
-        rows.append(row)
-    if args.csv:
-        _write_csv(args.csv, header, rows)
-    else:
-        _write_csv("-", header, rows)
+    columns = [curve.x_samples, curve.r_values, curve.m_of_r, curve.tail, curve.fidelity_paper,
+               curve.fidelity_normalized, curve.e1_per_copy]
+    columns += [curve.e_alpha_per_copy[alpha] for alpha in alphas]
+    _write_csv(args.csv or "-", header, zip(*columns))
     return EXIT_OK
 
 

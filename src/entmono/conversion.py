@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monotones import e_alpha
-from .states import SchmidtSpectrum
+from .states import SchmidtSpectrum, _within
 
 DENOMINATOR_FLOOR = 1e-12
 
@@ -38,15 +38,10 @@ class ConversionBound:
         ratios = np.array([r for _, r in self.per_alpha_curve])
         if ratios.size == 0:
             raise ValueError("bound requires a non-empty ratio curve")
-        if float(ratios.min()) < 0.0:
-            raise ValueError("ratio curve has a negative entry")
-        if abs(self.value - float(ratios.min())) > 1e-12:
+        if not ratios.min() >= 0.0:
+            raise ValueError("ratio curve has a negative or NaN entry")
+        if not _within(self.value - ratios.min(), 1e-12):
             raise ValueError("bound value does not equal the curve minimum")
-
-
-def _pad_pair(s1: SchmidtSpectrum, s2: SchmidtSpectrum):
-    n = max(s1.values.size, s2.values.size)
-    return s1.padded(n), s2.padded(n)
 
 
 def locally_equivalent(s1: SchmidtSpectrum, s2: SchmidtSpectrum, tol: float = 1e-9) -> bool:
@@ -58,8 +53,8 @@ def locally_equivalent(s1: SchmidtSpectrum, s2: SchmidtSpectrum, tol: float = 1e
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"equivalence tolerance must be finite and non-negative, got {tol!r}")
-    a, b = _pad_pair(s1, s2)
-    return bool(np.max(np.abs(a - b)) <= tol)
+    n = max(s1.values.size, s2.values.size)
+    return _within(s1.padded(n) - s2.padded(n), tol)
 
 
 def _ratio_curve(source: SchmidtSpectrum, target: SchmidtSpectrum, alpha_grid):

@@ -95,7 +95,7 @@ def _log_binomials(n_tilde, l):
 
 def log_binom(n: int, l: int) -> float:
     """Natural log of the binomial coefficient C(n, l), via log-gamma."""
-    if l < 0 or l > n or n < 0:
+    if not 0 <= l <= n:  # NaN fails it
         raise ValueError(f"binomial index out of range: C({n}, {l})")
     return float(_log_binomials(n, l))
 
@@ -118,7 +118,7 @@ def _prefix(log_terms: np.ndarray, r):
 
 def tail_mass(target: DilutionTarget, n_tilde: int, r: int) -> float:
     """T = sum_{l<=r} C(N,l) a^(N-l) b^l, in (0, 1], by log-sum-exp."""
-    if r < 0 or r > n_tilde:
+    if not 0 <= r <= n_tilde:
         raise ValueError(f"level cutoff out of range: r={r}, N={n_tilde}")
     _, log_c, log_p = _level_table(target, n_tilde, r)
     return float(min(math.exp(_prefix(log_c + log_p, r)), 1.0))
@@ -126,7 +126,7 @@ def tail_mass(target: DilutionTarget, n_tilde: int, r: int) -> float:
 
 def m_of_r(n_tilde: int, r: int) -> float:
     """Base-2 log of the retained coefficient count: the teleportation cost in ebits."""
-    if r < 0 or r > n_tilde:
+    if not 0 <= r <= n_tilde:
         raise ValueError(f"level cutoff out of range: r={r}, N={n_tilde}")
     return float(_prefix(_log_binomials(n_tilde, np.arange(r + 1)), r) / LN2)
 
@@ -140,10 +140,7 @@ def fidelity_curve(target: DilutionTarget, n_tilde: int, x_samples):
     F_normalized column).  The conventions agree at T = 1 and on every
     step-function conclusion.
     """
-    xs = np.asarray(x_samples, dtype=float)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise ValueError("x samples must lie in [0, 1]")
-    curve = entropy_curves(target, n_tilde, xs, alphas=())
+    curve = entropy_curves(target, n_tilde, x_samples, alphas=())
     return curve.fidelity_paper, curve.fidelity_normalized
 
 
@@ -187,6 +184,8 @@ def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,
     if n_tilde < 1:
         raise ValueError(f"copy count N must be at least 1, got {n_tilde!r}")
     xs = np.asarray(x_samples, dtype=float)
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):  # written so that NaN fails it
+        raise ValueError("x samples must lie in [0, 1]")
     alphas = [float(a) for a in alphas]
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
@@ -242,7 +241,7 @@ def discontinuity_report(target: DilutionTarget, n_tilde_schedule, alpha: float,
         raise ValueError(
             f"alpha must lie in [0, 1); got {alpha!r} (order 1 is the continuous case)"
         )
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     x = min(x_star(target) + delta, 1.0)
     reference = target.entanglement(alpha)

@@ -11,7 +11,8 @@ averaged-decrease conditions by randomized trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -31,9 +32,11 @@ from .states import (
     _require_distributions,
     _require_unit_norms,
     _spectrum_rows,
+    _sq_norms,
     _to_matrix,
     _trace_out,
     _unit_rows,
+    _within,
     ensure_rng,
     haar_unitary,
     random_pure_state,
@@ -43,7 +46,7 @@ from .states import (
 COMPLETENESS_TOL = 1e-9
 MEASUREMENT_TOL = 1e-10
 MONOTONICITY_TOL = 1e-9  # a C1/C2 margin below -MONOTONICITY_TOL is a violation
-C1_BLOCK = 128  # check_c1 stacks this many trials at a time, so its memory is flat in the trial count
+C1_BLOCK = 128  # the screens run this many trials at a time; check_c1 stacks a block's linear algebra
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,8 @@ class UnilocalOperation:
         shapes = {op.shape for _, ops in outcomes for op in ops}
         if len({s[1] for s in shapes}) != 1 or len({s[0] for s in shapes}) != 1:
             raise ValueError(f"all Kraus operators must share one shape, got {shapes}")
+        if not all(np.isfinite(op).all() for _, ops in outcomes for op in ops):
+            raise ValueError("non-finite Kraus operator")
         total = sum(op.conj().T @ op for _, ops in outcomes for op in ops)
         object.__setattr__(self, "_tp", bool(_trace_preserving(total)))
 
@@ -95,9 +100,9 @@ def _trace_preserving(total: np.ndarray):
     """
     gap = np.eye(total.shape[-1]) - total
     gap_h = np.swapaxes(gap.conj(), -1, -2)
-    if np.max(np.abs(gap - gap_h)) > COMPLETENESS_TOL:
+    if not _within(gap - gap_h, COMPLETENESS_TOL):
         raise ValueError("completeness violation: sum K^dag K is not Hermitian")
-    if float(np.min(np.linalg.eigvalsh(0.5 * (gap + gap_h)))) < -COMPLETENESS_TOL:
+    if not np.min(np.linalg.eigvalsh(0.5 * (gap + gap_h))) >= -COMPLETENESS_TOL:
         raise ValueError("completeness violation: sum K^dag K exceeds the identity")
     return np.max(np.abs(gap), axis=(-2, -1)) <= COMPLETENESS_TOL
 
@@ -160,11 +165,6 @@ def apply_unilocal(state, op: UnilocalOperation, dim_a=None, dim_b=None) -> Outc
 def _kraus_products(kraus: np.ndarray, m: np.ndarray, on_a: bool) -> np.ndarray:
     """K M (party A) or M K^T (party B): Kraus operators on coefficient matrices; stacks broadcast."""
     return kraus @ m if on_a else m @ np.swapaxes(kraus, -1, -2)
-
-
-def _sq_norms(v: np.ndarray) -> np.ndarray:
-    """Squared 2-norm of each row of ``v`` (last axis) as a 1 x n @ n x 1 product, as np.vdot gives it."""
-    return np.real(v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _outcome_weights(p: np.ndarray, trace_preserving) -> np.ndarray:
@@ -250,15 +250,12 @@ class PerturbationMeasurement:
         object.__setattr__(self, "o1", o1)
         object.__setattr__(self, "o2", o2)
         object.__setattr__(self, "tau", tau)
-        dim = o1.shape[0]
-        gap = o1.conj().T @ o1 + o2.conj().T @ o2 - np.eye(dim)
-        if np.max(np.abs(gap)) > MEASUREMENT_TOL:
-            raise ValueError("O1^dag O1 + O2^dag O2 differs from the identity")
-        if np.max(np.abs(tau - tau.conj().T)) > MEASUREMENT_TOL:
+        if not _within(tau - tau.conj().T, MEASUREMENT_TOL):
             raise ValueError("tau is not Hermitian")
-        eigs = np.linalg.eigvalsh(tau)
-        if float(np.max(np.abs(eigs))) >= 1.0 + 1e-12:
+        if not np.max(np.abs(np.linalg.eigvalsh(tau))) < 1.0 + 1e-12:
             raise ValueError("I +/- tau is not positive semidefinite")
+        if not _within(o1.conj().T @ o1 + o2.conj().T @ o2 - np.eye(o1.shape[0]), MEASUREMENT_TOL):
+            raise ValueError("O1^dag O1 + O2^dag O2 differs from the identity")
 
     def operation(self) -> UnilocalOperation:
         return UnilocalOperation("B", (("+", (self.o1,)), ("-", (self.o2,))))
@@ -282,13 +279,13 @@ def perturbation_measurement(psi: PureState, delta_sigma) -> PerturbationMeasure
     delta = np.asarray(delta_sigma, dtype=complex)
     if delta.shape != (r, r):
         raise ValueError(f"delta_sigma must be {r}x{r} in the Schmidt basis, got {delta.shape}")
-    if np.max(np.abs(delta - delta.conj().T)) > MEASUREMENT_TOL:
+    if not _within(delta - delta.conj().T, MEASUREMENT_TOL):
         raise ValueError("delta_sigma is not Hermitian")
-    if abs(complex(np.trace(delta))) > MEASUREMENT_TOL:
+    if not _within(np.trace(delta), MEASUREMENT_TOL):
         raise ValueError("delta_sigma is not traceless")
     bound = float(np.min(alphas[:r] ** 2))
     worst = float(np.max(np.abs(delta)))
-    if worst >= bound:
+    if not worst < bound:
         raise ValueError(
             f"perturbation bound violated: max |delta_sigma_ij| = {worst!r} >= min alpha^2 = {bound!r}"
         )
@@ -300,9 +297,6 @@ def perturbation_measurement(psi: PureState, delta_sigma) -> PerturbationMeasure
     tau = b @ tau_small @ b.conj().T
     tau = 0.5 * (tau + tau.conj().T)
     eye = np.eye(psi.dim_b)
-    tau_eigs = np.linalg.eigvalsh(tau)
-    if float(np.max(np.abs(tau_eigs))) > 1.0 + 1e-12:
-        raise ValueError("I +/- tau is not positive semidefinite")
     o1 = _psd_sqrt(0.5 * (eye + tau))
     o2 = _psd_sqrt(0.5 * (eye - tau))
     return PerturbationMeasurement(o1=o1, o2=o2, tau=tau)
@@ -344,16 +338,27 @@ class TrialRecord:
         return self.before - self.after_avg
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonotonicityReport:
-    """Aggregate of randomized C1/C2 trials for one or more monotones."""
+    """Randomized C1/C2 trials: ``before`` and ``after`` have shape (trials, len(monotones)).
+
+    ``records`` builds the ``TrialRecord``s from the two arrays on first use, trial-major.
+    """
 
     condition: str
     trials: int
     dims: tuple
     seed: int
     tolerance: float
-    records: list = field(default_factory=list)
+    monotones: tuple
+    before: np.ndarray
+    after: np.ndarray
+
+    @cached_property
+    def records(self) -> list:
+        return [TrialRecord(t, name, b, a)
+                for t, row in enumerate(zip(self.before.tolist(), self.after.tolist()))
+                for name, b, a in zip(self.monotones, *row)]
 
     @property
     def violations(self) -> list:
@@ -389,10 +394,31 @@ class MonotonicityReport:
         return lines
 
 
-def _as_spec_list(monotone):
-    if isinstance(monotone, MonotoneSpec):
-        return [monotone]
-    return list(monotone)
+def _screen(condition, block, monotone, trials, dims, seed) -> MonotonicityReport:
+    """The trial loop of both screens, ``C1_BLOCK`` trials at a time.
+
+    ``block(children, dims, specs)`` gives the (before, after) arrays of shape
+    (len(children), len(specs)) for the trials of those ``SeedSequence``
+    children.  ``spawn`` is prefix-stable, so neither the block size nor the
+    trial count changes the first trials.  A non-finite monotone value
+    raises, naming the monotone and the trial.
+    """
+    if trials < 0:
+        raise ValueError(f"trial count must be non-negative, got {trials!r}")
+    specs = [monotone] if isinstance(monotone, MonotoneSpec) else list(monotone)
+    dims = (int(dims[0]), int(dims[1]))
+    if dims[0] < 1 or dims[1] < 1:
+        raise ValueError("local dimensions must be positive")
+    before, after = np.empty((trials, len(specs))), np.empty((trials, len(specs)))
+    streams = np.random.SeedSequence(seed)
+    for first in range(0, trials, C1_BLOCK):
+        last = min(first + C1_BLOCK, trials)
+        before[first:last], after[first:last] = block(streams.spawn(last - first), dims, specs)
+    bad = np.argwhere(~(np.isfinite(before) & np.isfinite(after)))
+    if bad.size:
+        raise ValueError(f"monotone {specs[bad[0, 1]].name!r} is not finite on trial #{bad[0, 0]}")
+    return MonotonicityReport(condition, trials, dims, seed, MONOTONICITY_TOL,
+                              tuple(spec.name for spec in specs), before, after)
 
 
 def check_c1(monotone, trials: int = 10_000, dims=(4, 4), seed=0) -> MonotonicityReport:
@@ -405,29 +431,14 @@ def check_c1(monotone, trials: int = 10_000, dims=(4, 4), seed=0) -> Monotonicit
     sequence evaluated on the same trial stream.  Trials use per-trial derived
     seeds, so aggregates are deterministic for a fixed master seed.
 
-    Trials run in blocks of ``C1_BLOCK``: each trial draws its numbers from its
-    own stream, then the block's linear algebra is done on stacks (see
-    ``_c1_block``).  Every record is bitwise the one that ``random_pure_state``,
-    ``random_unilocal_operation``, ``apply_unilocal`` and ``schmidt`` give
-    trial by trial.
+    Each block's linear algebra is done on stacks (see ``_c1_block``); every
+    record is bitwise the one the per-trial functions give.
     """
-    if trials < 0:
-        raise ValueError(f"trial count must be non-negative, got {trials!r}")
-    specs = _as_spec_list(monotone)
-    dims = (int(dims[0]), int(dims[1]))
-    report = MonotonicityReport("C1", trials, dims, seed, MONOTONICITY_TOL)
-    names = [spec.name for spec in specs]
-    streams = np.random.SeedSequence(seed)
-    for first in range(0, trials, C1_BLOCK):
-        # spawn is prefix-stable: block by block gives the same streams as all at once
-        before, after = _c1_block(streams.spawn(min(C1_BLOCK, trials - first)), dims, specs)
-        for t, values in enumerate(zip(before.T.tolist(), after.T.tolist()), start=first):
-            report.records += [TrialRecord(t, name, b, a) for name, b, a in zip(names, *values)]
-    return report
+    return _screen("C1", _c1_block, monotone, trials, dims, seed)
 
 
 def _c1_block(children, dims, specs):
-    """(before, after) arrays of shape (len(specs), len(children)) for one block of C1 trials.
+    """(before, after) arrays of shape (len(children), len(specs)) for one block of C1 trials.
 
     Each trial's generator draws, in order: the state's Gaussian vector (as
     ``random_pure_state``), the party, the outcome count, and the Gaussian
@@ -439,8 +450,6 @@ def _c1_block(children, dims, specs):
     of the per-trial objects is kept, on stacks.
     """
     dim_a, dim_b = dims
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError("local dimensions must be positive")
     draws = []
     for child in children:
         rng = np.random.default_rng(child)
@@ -480,14 +489,14 @@ def _c1_block(children, dims, specs):
     singular = np.linalg.svd(np.concatenate(mats), full_matrices=False)[1]
     spectra = _spectrum_rows(_clamped_squares(singular))
 
-    before, after = np.empty((len(specs), n)), np.empty((len(specs), n))
+    before, after = np.empty((n, len(specs))), np.empty((n, len(specs)))
     # column 0 is the 0 that sum() starts from; dropped and missing outcomes add 0
     terms = np.zeros((n, slot.max() + 1))
     for j, spec in enumerate(specs):
         values = spec.g(spectra)
-        before[j] = values[:n]
+        before[:, j] = values[:n]
         terms[trial, slot] = weight * values[n:]
-        after[j] = np.add.accumulate(terms, axis=1)[:, -1]
+        after[:, j] = np.add.accumulate(terms, axis=1)[:, -1]
     return before, after
 
 
@@ -502,28 +511,27 @@ def check_c2(monotone, trials: int = 200, dims=(2, 2), seed=0,
     numerical noise and the check is sound even when the local search stalls.
     Each roof search runs 2 restarts of 200 iterations.
     """
+    return _screen("C2", partial(_c2_block, ensemble_range=ensemble_range), monotone, trials, dims, seed)
+
+
+def _c2_block(children, dims, specs, ensemble_range):
+    """(before, after) arrays of shape (len(children), len(specs)) for C2 trials, one at a time."""
     from .roof import isometry_of_ensemble, roof_estimate
 
-    if trials < 0:
-        raise ValueError(f"trial count must be non-negative, got {trials!r}")
-    specs = _as_spec_list(monotone)
-    dims = (int(dims[0]), int(dims[1]))
-    report = MonotonicityReport("C2", trials, dims, seed, MONOTONICITY_TOL)
-    children = np.random.SeedSequence(seed).spawn(trials)
     lo, hi = ensemble_range
-    for t in range(trials):
-        rng = np.random.default_rng(children[t])
+    before, after = np.empty((len(children), len(specs))), np.empty((len(children), len(specs)))
+    for t, child in enumerate(children):
+        rng = np.random.default_rng(child)
         k = int(rng.integers(lo, hi + 1))
         members = [random_pure_state(*dims, rng) for _ in range(k)]
         probs = rng.dirichlet(np.ones(k))
         rho = DensityMatrix(dims[0] * dims[1], _mixture(zip(probs, members)))
         seed_iso = isometry_of_ensemble(rho, list(zip(probs, members)))
-        for spec in specs:
-            lhs = float(sum(p * spec(psi) for p, psi in zip(probs, members)))
-            est = roof_estimate(
+        for j, spec in enumerate(specs):
+            before[t, j] = sum(p * spec(psi) for p, psi in zip(probs, members))
+            after[t, j] = roof_estimate(
                 rho, dims[0], dims[1], spec,
                 m=max(seed_iso.shape[0], 4), seed=rng,
                 restarts=2, iterations=200, initial_isometries=[seed_iso],
-            )
-            report.records.append(TrialRecord(t, spec.name, lhs, est.value))
-    return report
+            ).value
+    return before, after

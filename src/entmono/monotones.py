@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import SPECTRUM_CLAMP, PureState, SchmidtSpectrum, ensure_rng, schmidt
+from .states import SPECTRUM_CLAMP, PureState, SchmidtSpectrum, _first_off_one, _within, ensure_rng, schmidt
 
 CONCAVITY_SLACK = 1e-9
 SYMMETRY_TOL = 1e-9
@@ -93,10 +93,9 @@ def renyi_entropy(p, alpha):
     # written so that NaN fails both checks
     if not p.min() >= -PROB_NEG_TOL:
         raise ValueError("probability vector has a negative or NaN entry")
-    totals = p.sum(axis=-1).reshape(-1)
-    off = totals[~(abs(totals - 1.0) <= 1e-9)]
-    if off.size:
-        raise ValueError(f"probabilities sum to {float(off[0])!r}, expected 1 within 1e-9")
+    total = _first_off_one(p.sum(axis=-1), 1e-9)
+    if total is not None:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-9")
     p = np.maximum(p, 0.0)
     if orders is not None:
         a = orders.reshape(orders.shape + (1,) * (p.ndim - 1))
@@ -150,7 +149,7 @@ def monotone_from_concave(spec: MonotoneSpec, samples: int = 10_000, seed=0) -> 
             point = np.zeros(n)
             point[0] = 1.0
             val = float(spec.g(point))
-            if abs(val) > NORMALIZATION_TOL:
+            if not _within(val, NORMALIZATION_TOL):
                 raise MonotoneValidationError(
                     f"not a valid monotone spec ({spec.name}): g on a point distribution of "
                     f"size {n} is {val!r}, expected 0",
@@ -162,7 +161,7 @@ def monotone_from_concave(spec: MonotoneSpec, samples: int = 10_000, seed=0) -> 
         x = rng.dirichlet(np.ones(n))
         perm = rng.permutation(n)
         gx = float(spec.g(x))
-        if abs(gx - float(spec.g(x[perm]))) > SYMMETRY_TOL:
+        if not _within(gx - float(spec.g(x[perm])), SYMMETRY_TOL):
             raise MonotoneValidationError(
                 f"not a valid monotone spec ({spec.name}): not permutation symmetric",
                 sample=(x, perm),
@@ -170,7 +169,7 @@ def monotone_from_concave(spec: MonotoneSpec, samples: int = 10_000, seed=0) -> 
         y = rng.dirichlet(np.ones(n))
         lam = float(rng.uniform())
         mix = lam * x + (1.0 - lam) * y
-        if float(spec.g(mix)) < lam * gx + (1.0 - lam) * float(spec.g(y)) - CONCAVITY_SLACK:
+        if not float(spec.g(mix)) >= lam * gx + (1.0 - lam) * float(spec.g(y)) - CONCAVITY_SLACK:
             raise MonotoneValidationError(
                 f"not a valid monotone spec ({spec.name}): concavity violated at lambda={lam!r}",
                 sample=(x, y, lam),
@@ -198,12 +197,12 @@ def trace_fn_spec(f_hat: Callable[[np.ndarray], np.ndarray], name: str = "trace_
     """
     for endpoint in (0.0, 1.0):
         val = float(f_hat(endpoint))
-        if abs(val) > NORMALIZATION_TOL:
+        if not _within(val, NORMALIZATION_TOL):
             raise ValueError(f"f_hat({endpoint}) = {val!r}, expected 0")
     # per sample: x, y, then lambda, in the generator's draw order
     x, y, lam = np.ascontiguousarray(ensure_rng(seed).uniform(size=(samples, 3)).T)
     mix = lam * x + (1.0 - lam) * y
-    failed = np.flatnonzero(f_hat(mix) < lam * f_hat(x) + (1.0 - lam) * f_hat(y) - CONCAVITY_SLACK)
+    failed = np.flatnonzero(~(f_hat(mix) >= lam * f_hat(x) + (1.0 - lam) * f_hat(y) - CONCAVITY_SLACK))
     if failed.size:
         i = failed[0]
         raise ValueError(

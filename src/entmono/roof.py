@@ -23,7 +23,7 @@ import numpy as np
 
 from .monotones import MonotoneSpec
 from .states import (OUTCOME_FLOOR, SPECTRUM_CLAMP, DensityMatrix, PureState, _clamped_squares,
-                     _haar_isometry, _mixture, _phase_fixed_qr, ensure_rng)
+                     _haar_isometry, _mixture, _phase_fixed_qr, _sq_norms, _within, ensure_rng)
 
 STEP0, STEP_MIN = 0.6, 0.01  # the proposal step size decays exponentially from STEP0 to STEP_MIN
 
@@ -74,8 +74,7 @@ def _checked_isometry(v, rank: int) -> np.ndarray:
         raise ValueError(f"isometry must have {rank} columns (the rank of rho), got {v.shape}")
     if v.shape[0] < rank:
         raise ValueError(f"ensemble size {v.shape[0]} is below the rank {rank}")
-    gram = v.conj().T @ v
-    if np.max(np.abs(gram - np.eye(rank))) > 1e-10:
+    if not _within(v.conj().T @ v - np.eye(rank), 1e-10):
         raise ValueError("matrix columns are not orthonormal: V^dag V != I")
     return v
 
@@ -83,7 +82,7 @@ def _checked_isometry(v, rank: int) -> np.ndarray:
 def _weighted_rows(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray):
     """Unnormalized members phi_j (the rows of the stacked isometries ``v``) and their weights."""
     phi = (v * sqrt_lam) @ evecs_t
-    return phi, (phi.conj()[..., None, :] @ phi[..., :, None]).real[..., 0, 0]
+    return phi, _sq_norms(phi)
 
 
 def _members(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray, dim_a: int, dim_b: int):

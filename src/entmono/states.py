@@ -34,6 +34,16 @@ def _first_off_one(values, tol):
     return float(off[0]) if off.size else None
 
 
+def _within(x, tol) -> bool:
+    """Whether every entry of ``x`` is at most ``tol`` in modulus; NaN never is."""
+    return bool(np.max(np.abs(x), initial=0.0) <= tol)
+
+
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each row of ``v`` (last axis) as a 1 x n @ n x 1 product, as np.vdot gives it."""
+    return np.real(v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def _require_unit_norms(norms) -> None:
     """Raise unless every state-vector norm in ``norms`` is within ``NORM_TOL`` of 1."""
     norm = _first_off_one(norms, NORM_TOL)
@@ -119,18 +129,13 @@ class DensityMatrix:
             raise ValueError(f"entries have shape {m.shape}, expected ({self.dim}, {self.dim})")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
+        if not _within(m - m.conj().T, HERM_TOL):
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > NORM_TOL:
+        if not _within(tr - 1.0, NORM_TOL):
             raise ValueError(f"trace {tr!r} differs from 1 by more than {NORM_TOL}")
-        if float(np.min(np.linalg.eigvalsh(m))) < EIGVAL_FLOOR:
+        if not np.min(np.linalg.eigvalsh(m)) >= EIGVAL_FLOOR:
             raise ValueError("matrix has an eigenvalue below the positivity floor")
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues, descending, clamped into [0, 1]."""
-        w = np.linalg.eigvalsh(self.entries)[::-1]
-        return np.clip(w, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entmono import load_certificate, monotone_by_name
+from entmono import MonotoneSpec, cli, load_certificate, monotone_by_name
 from entmono.cli import main
 
 BELL_DOC = {
@@ -243,6 +244,15 @@ class TestCheckCommand:
 
     def test_bad_dims_exits_2(self, capsys):
         assert main(["check", "--dims", "4by4", "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("condition", ["c1", "c2"])
+    def test_non_finite_monotone_exits_3(self, condition, capsys, monkeypatch):
+        nan = MonotoneSpec("nan", g=lambda p: np.full(np.shape(p)[:-1], np.nan))
+        monkeypatch.setattr(cli, "monotone_by_name", lambda name: nan)
+        assert main(["check", "--condition", condition, "--trials", "2", "--dims", "2x2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: monotone 'nan' is not finite on trial #0\n"
 
 
 class TestRoofCommand:

@@ -43,6 +43,18 @@ class TestLocallyEquivalent:
         assert locally_equivalent(a, b, tol=1e-3)
 
 
+class TestConversionBoundChecks:
+    @pytest.mark.parametrize("value, curve", [
+        (float("nan"), ((0.0, 0.5),)),
+        (0.5, ((0.0, 0.5), (0.5, float("nan")))),
+        (0.5, ((0.0, 0.5 + 1e-9),)),
+        (-0.1, ((0.0, -0.1),)),
+    ])
+    def test_inconsistent_bound_rejected(self, value, curve):
+        with pytest.raises(ValueError, match="bound value|negative"):
+            ConversionBound(value=value, minimizing_alpha=0.0, per_alpha_curve=curve)
+
+
 class TestBoundSingle:
     def test_worked_pair_half_alpha_ratio(self):
         bound = bound_single(SOURCE_33, TARGET_33)

@@ -128,6 +128,11 @@ class TestLogBinom:
         with pytest.raises(ValueError, match="out of range"):
             log_binom(4, -1)
 
+    @pytest.mark.parametrize("n, l", [(4, float("nan")), (float("nan"), 2)])
+    def test_nan_index_out_of_range(self, n, l):
+        with pytest.raises(ValueError, match="out of range"):
+            log_binom(n, l)
+
 
 class TestTruncationIndex:
     def test_floor_with_inclusive_boundary(self):
@@ -157,6 +162,12 @@ class TestTailMass:
         with pytest.raises(ValueError, match="out of range"):
             tail_mass(PI6, 4, 5)
 
+    def test_nan_cutoff_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            tail_mass(PI6, 4, float("nan"))
+        with pytest.raises(ValueError, match="out of range"):
+            m_of_r(4, float("nan"))
+
 
 class TestFidelityCurve:
     def test_both_conventions_at_quarter(self):
@@ -184,6 +195,11 @@ class TestFidelityCurve:
     def test_rejects_out_of_range_samples(self):
         with pytest.raises(ValueError, match="samples"):
             fidelity_curve(PI6, 4, [1.5])
+
+    @pytest.mark.parametrize("x", [np.nan, 1.5, -0.1])
+    def test_entropy_curves_reject_samples_outside_the_unit_interval(self, x):
+        with pytest.raises(ValueError, match=r"x samples must lie in \[0, 1\]"):
+            entropy_curves(DilutionTarget(0.5), 10, [0.5, x])
 
 
 class TestXStar:
@@ -337,6 +353,11 @@ class TestDiscontinuityReport:
     def test_delta_guard(self):
         with pytest.raises(ValueError, match="delta"):
             discontinuity_report(PI6, [100], 0.5, 0.0)
+
+    @pytest.mark.parametrize("delta", [-0.1, np.nan])
+    def test_negative_or_nan_delta_named(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            discontinuity_report(PI6, [100], 0.5, delta)
 
     def test_gap_persists_while_fidelity_saturates(self):
         rows = discontinuity_report(PI6, [100, 500, 1000, 5000], 0.5, 0.05)

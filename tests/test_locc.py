@@ -9,6 +9,7 @@ from entmono import (
     DensityMatrix,
     MonotoneSpec,
     OutcomeEnsemble,
+    PerturbationMeasurement,
     PureState,
     UnilocalOperation,
     add_ancilla,
@@ -34,11 +35,14 @@ from entmono import (
 from entmono import locc
 from entmono.locc import TrialRecord
 from entmono.monotones import alpha_entropy_spec
+from entmono.roof import isometry_of_ensemble, roof_estimate
 
 from conftest import random_traceless_hermitian
 
 BELL = maximally_entangled(2)
 E1 = alpha_entropy_spec(1.0)
+# a spec whose every value is NaN: the screens must reject it, not count it as passing
+NAN_SPEC = MonotoneSpec("nan", g=lambda p: np.full(np.shape(p)[:-1], np.nan))
 
 
 def vidal_spec(l):
@@ -57,6 +61,13 @@ class TestUnilocalOperation:
         too_big = np.eye(2) * 1.2
         with pytest.raises(ValueError, match="completeness"):
             UnilocalOperation("A", (("0", (too_big,)),))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kraus_operator_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite Kraus operator"):
+            apply_unilocal(BELL, UnilocalOperation("A", (("0", (np.array([[bad, 0], [0, 1]]),)),)))
+        with pytest.raises(ValueError, match="non-finite Kraus operator"):
+            UnilocalOperation("B", (("0", (np.eye(2),)), ("1", (np.full((2, 2), bad),))))
 
     def test_subnormalized_accepted_but_flagged(self):
         half = np.eye(2) / np.sqrt(2)
@@ -277,6 +288,19 @@ class TestPerturbationMeasurement:
         with pytest.raises(ValueError, match="traceless"):
             perturbation_measurement(BELL, np.diag([0.1, 0.1]).astype(complex))
 
+    def test_nan_shift_rejected(self):
+        with pytest.raises(ValueError, match="delta_sigma"):
+            perturbation_measurement(BELL, np.diag([np.nan, np.nan]).astype(complex))
+
+    @pytest.mark.parametrize("o1, tau, message", [
+        (np.full((2, 2), np.nan), np.zeros((2, 2)), "identity"),
+        (np.eye(2) / np.sqrt(2), np.full((2, 2), np.nan), "tau"),
+        (np.eye(2) / np.sqrt(2), 1.5 * np.eye(2), "positive semidefinite"),
+    ])
+    def test_bad_operators_rejected(self, o1, tau, message):
+        with pytest.raises(ValueError, match=message):
+            PerturbationMeasurement(o1=o1, o2=np.eye(2) / np.sqrt(2), tau=tau)
+
     def test_random_battery(self, rng):
         for _ in range(20):
             da = int(rng.integers(2, 4))
@@ -346,6 +370,27 @@ class TestCheckC1:
         text = "\n".join(report.summary_lines())
         assert "C1" in text and "violations: 0" in text
 
+    def test_report_holds_arrays_and_builds_records(self):
+        specs = [E1, monotone_by_name("control:sum_squares")]
+        report = check_c1(specs, trials=60, dims=(3, 3), seed=2)
+        assert report.monotones == ("e_alpha:1", "control:sum_squares")
+        assert report.before.shape == report.after.shape == (60, 2)
+        records = report.records
+        assert [(rec.trial, rec.monotone) for rec in records[:3]] == [
+            (0, "e_alpha:1"), (0, "control:sum_squares"), (1, "e_alpha:1")]
+        assert report.violations == [rec for rec in records if rec.margin < -report.tolerance]
+        assert report.worst_record == min(records, key=lambda rec: rec.margin)
+        assert report.max_violation == max(0.0, -min(rec.margin for rec in records))
+
+    def test_empty_report(self):
+        report = check_c1(E1, trials=0, dims=(2, 2), seed=1)
+        assert report.records == [] and report.worst_record is None and report.max_violation == 0.0
+
+    @pytest.mark.parametrize("screen", [check_c1, check_c2])
+    def test_non_finite_monotone_rejected(self, screen):
+        with pytest.raises(ValueError, match=r"monotone 'nan' is not finite on trial #0"):
+            screen([E1, NAN_SPEC], trials=2, dims=(2, 2), seed=1)
+
 
 C1_SPECS = [monotone_by_name(name) for name in
             ("e0", "e1", "e_alpha:0.5", "trace_fn:linear", "trace_fn:shannon", "control:sum_squares")]
@@ -405,6 +450,56 @@ class TestBlockedC1:
         with pytest.raises(ValueError, match="positive"):
             check_c1(E1, trials=1, dims=dims)
 
+
+
+def reference_c2(specs, trials, dims, seed, ensemble_range=(2, 3)):
+    """The C2 screen trial by trial, each trial's ensemble and roof searches drawn from its own stream."""
+    records = []
+    children = np.random.SeedSequence(seed).spawn(trials)
+    for t in range(trials):
+        rng = np.random.default_rng(children[t])
+        k = int(rng.integers(ensemble_range[0], ensemble_range[1] + 1))
+        members = [random_pure_state(*dims, rng) for _ in range(k)]
+        ensemble = list(zip(rng.dirichlet(np.ones(k)), members))
+        rho = forget(OutcomeEnsemble(tuple(ensemble)))
+        seed_iso = isometry_of_ensemble(rho, ensemble)
+        for spec in specs:
+            lhs = float(sum(p * spec(psi) for p, psi in ensemble))
+            est = roof_estimate(rho, dims[0], dims[1], spec, m=max(seed_iso.shape[0], 4), seed=rng,
+                                restarts=2, iterations=200, initial_isometries=[seed_iso])
+            records.append(TrialRecord(t, spec.name, lhs, est.value))
+    return records
+
+
+C2_SPECS = [E1, monotone_by_name("trace_fn:linear")]
+
+
+class TestBlockedC2:
+    """check_c2 runs through the same block loop as check_c1; its records are the per-trial ones."""
+
+    @pytest.mark.parametrize("dims, ensemble_range", [((2, 2), (2, 3)), ((2, 3), (1, 3))])
+    def test_records_equal_the_per_trial_screen(self, dims, ensemble_range):
+        report = check_c2(C2_SPECS, trials=3, dims=dims, seed=5, ensemble_range=ensemble_range)
+        assert report.before.shape == (3, len(C2_SPECS))
+        want = reference_c2(C2_SPECS, 3, dims, 5, ensemble_range)
+        assert record_bits(report.records) == record_bits(want)
+
+    def test_equal_across_block_boundaries(self):
+        with mock.patch.object(locc, "C1_BLOCK", 2):
+            report = check_c2(E1, trials=5, dims=(2, 2), seed=6)
+        assert record_bits(report.records) == record_bits(reference_c2([E1], 5, (2, 2), 6))
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_fewer_trials_give_a_prefix(self, block):
+        full = check_c2(E1, trials=4, dims=(2, 2), seed=8)
+        with mock.patch.object(locc, "C1_BLOCK", block):
+            part = check_c2(E1, trials=3, dims=(2, 2), seed=8)
+        assert record_bits(part.records) == record_bits(full.records[:3])
+
+    @pytest.mark.parametrize("dims", [(0, 2), (2, -1)])
+    def test_nonpositive_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="positive"):
+            check_c2(E1, trials=1, dims=dims)
 
 class TestCheckC2:
     def test_single_member_ensembles_touch_equality(self):

@@ -175,6 +175,18 @@ class TestMonotoneSpecValidation:
         with pytest.raises(MonotoneValidationError, match="stack of spectra"):
             monotone_from_concave(scalar, samples=200)
 
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_nan_spec_rejected(self, normalized):
+        nan = MonotoneSpec("nan", g=lambda p: np.full(np.shape(p)[:-1], np.nan), normalized=normalized)
+        with pytest.raises(MonotoneValidationError, match="point distribution|symmetric"):
+            monotone_from_concave(nan, samples=50)
+
+    def test_nan_inside_the_simplex_rejected(self):
+        # finite and zero on point distributions, NaN everywhere else
+        holes = MonotoneSpec("holes", g=lambda p: np.where(np.max(p, axis=-1) == 1.0, 0.0, np.nan))
+        with pytest.raises(MonotoneValidationError, match="symmetric"):
+            monotone_from_concave(holes, samples=50)
+
     def test_validation_error_carries_sample(self):
         convex = MonotoneSpec("sum-squares", g=lambda p: float(np.sum(p**2)), normalized=False)
         try:
@@ -197,6 +209,13 @@ class TestTraceFnSpec:
     def test_convex_f_hat_rejected(self):
         with pytest.raises(ValueError, match="concavity"):
             trace_fn_spec(lambda x: x * x - x, "negative-parabola")
+
+    def test_nan_f_hat_rejected(self):
+        with pytest.raises(ValueError, match="expected 0"):
+            trace_fn_spec(lambda x: np.full(np.shape(x), np.nan), "nan")
+        # zero at both endpoints, NaN in between
+        with pytest.raises(ValueError, match="concavity"):
+            trace_fn_spec(lambda x: np.where((x == 0.0) | (x == 1.0), 0.0, np.nan), "holes")
 
 
 class TestDeltaEAlpha:

@@ -192,6 +192,16 @@ class TestRoofEdgeCases:
             roof_estimate(rho, 2, 2, E1, restarts=1, iterations=10, seed=0,
                           initial_isometries=[2.0 * _haar_isometry(3, 2, rng)])
 
+    def test_nan_start_rejected(self):
+        # a NaN start used to drop every member and certify a bound of 0 for a roof of 1
+        with pytest.raises(ValueError, match="not orthonormal"):
+            roof_estimate(density_of(maximally_entangled(2)), 2, 2, E1, restarts=1, iterations=0,
+                          initial_isometries=[np.full((2, 1), np.nan)])
+
+    def test_nan_isometry_rejected(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            ensemble_from_isometry(DensityMatrix(4, np.eye(4) / 4), np.full((4, 4), np.nan), 2, 2)
+
     def test_zero_iterations_returns_best_start(self, rng):
         rho = random_density_matrix(6, rng, rank=3)
         eigen = ensemble_from_isometry(rho, np.eye(3), 2, 3)

@@ -18,6 +18,7 @@ from entmono import (
     schmidt,
     tensor_bipartite,
 )
+from entmono.states import _within
 
 BELL = maximally_entangled(2)
 NON_FINITE = (np.nan, np.inf, -np.inf)
@@ -73,6 +74,18 @@ class TestDensityMatrix:
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(2, m)
+
+
+class TestWithin:
+    @pytest.mark.parametrize("x, tol, expected", [
+        ([0.5, -1.0], 1.0, True),
+        ([0.5, -1.5], 1.0, False),
+        ([0.0, np.nan], 1.0, False),
+        (complex(0.0, np.inf), 1.0, False),
+        ([], 0.0, True),
+    ])
+    def test_nan_is_never_within_tolerance(self, x, tol, expected):
+        assert _within(np.asarray(x), tol) is expected
 
 
 class TestSchmidtSpectrum:
