@@ -41,6 +41,8 @@ class DilutionTarget:
                 f"theta must lie strictly inside (0, pi/4), got {self.theta!r}; "
                 "the target must be entangled but not maximally so"
             )
+        if not (self.b > 0.0 and math.isfinite(self.a / self.b)):  # sin^2 underflows near 1e-154
+            raise ValueError(f"theta {self.theta!r} is too small: cos^2/sin^2 theta overflows a float")
 
     @property
     def a(self) -> float:

@@ -22,7 +22,6 @@ from .states import (
     DensityMatrix,
     OutcomeEnsemble,
     PureState,
-    _clamped_squares,
     _complex_normal,
     _first_off_one,
     _kraus_outcome,
@@ -31,6 +30,7 @@ from .states import (
     _phase_fixed_qr,
     _require_distributions,
     _require_unit_norms,
+    _schmidt_values,
     _spectrum_rows,
     _sq_norms,
     _to_matrix,
@@ -403,6 +403,8 @@ def _screen(condition, block, monotone, trials, dims, seed) -> MonotonicityRepor
     trial count changes the first trials.  A non-finite monotone value
     raises, naming the monotone and the trial.
     """
+    if not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trial count must be an integer, got {trials!r}")
     if trials < 0:
         raise ValueError(f"trial count must be non-negative, got {trials!r}")
     specs = [monotone] if isinstance(monotone, MonotoneSpec) else list(monotone)
@@ -485,9 +487,7 @@ def _c1_block(children, dims, specs):
         weight.append(w[kept])
         mats.append(v)
     trial, slot, weight = (np.concatenate(a) for a in (trial, slot, weight))
-    # the full SVD, as schmidt runs it: compute_uv=False can differ in the last bits
-    singular = np.linalg.svd(np.concatenate(mats), full_matrices=False)[1]
-    spectra = _spectrum_rows(_clamped_squares(singular))
+    spectra = _spectrum_rows(_schmidt_values(np.concatenate(mats)))
 
     before, after = np.empty((n, len(specs))), np.empty((n, len(specs)))
     # column 0 is the 0 that sum() starts from; dropped and missing outcomes add 0

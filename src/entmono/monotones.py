@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .states import SPECTRUM_CLAMP, PureState, SchmidtSpectrum, _first_off_one, _within, ensure_rng, schmidt
+from .states import (SPECTRUM_CLAMP, PureState, SchmidtSpectrum, _first_off_one, _schmidt_values, _within,
+                     ensure_rng)
 
 CONCAVITY_SLACK = 1e-9
 SYMMETRY_TOL = 1e-9
@@ -45,7 +46,7 @@ def spectrum_of(state_or_spectrum) -> SchmidtSpectrum:
     if isinstance(state_or_spectrum, SchmidtSpectrum):
         return state_or_spectrum
     if isinstance(state_or_spectrum, PureState):
-        return schmidt(state_or_spectrum)[0]
+        return SchmidtSpectrum(_schmidt_values(state_or_spectrum.coefficient_matrix))
     return SchmidtSpectrum(np.asarray(state_or_spectrum, dtype=float))
 
 
@@ -146,8 +147,7 @@ def monotone_from_concave(spec: MonotoneSpec, samples: int = 10_000, seed=0) -> 
     rng = ensure_rng(seed)
     if spec.normalized:
         for n in range(1, 7):
-            point = np.zeros(n)
-            point[0] = 1.0
+            point = np.eye(n)[0]
             val = float(spec.g(point))
             if not _within(val, NORMALIZATION_TOL):
                 raise MonotoneValidationError(

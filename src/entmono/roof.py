@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monotones import MonotoneSpec
-from .states import (OUTCOME_FLOOR, SPECTRUM_CLAMP, DensityMatrix, PureState, _clamped_squares,
-                     _haar_isometry, _mixture, _phase_fixed_qr, _sq_norms, _within, ensure_rng)
+from .states import (OUTCOME_FLOOR, SPECTRUM_CLAMP, DensityMatrix, PureState, _haar_isometry, _mixture,
+                     _phase_fixed_qr, _schmidt_values, _sq_norms, _within, ensure_rng)
 
 STEP0, STEP_MIN = 0.6, 0.01  # the proposal step size decays exponentially from STEP0 to STEP_MIN
 
@@ -95,10 +95,7 @@ def _members(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray, dim_a: in
 def isometry_of_ensemble(rho: DensityMatrix, ensemble) -> np.ndarray:
     """Inverse map: the isometry whose rows encode a given realizing ensemble."""
     lam, evecs = _eigen_decomposition(rho)
-    rows = []
-    for p, psi in ensemble:
-        phi = np.sqrt(p) * psi.amplitudes
-        rows.append(evecs.conj().T @ phi / np.sqrt(lam))
+    rows = [evecs.conj().T @ (np.sqrt(p) * psi.amplitudes) / np.sqrt(lam) for p, psi in ensemble]
     # Re-orthonormalize against roundoff in the supplied ensemble.
     return _phase_fixed_qr(np.array(rows))
 
@@ -112,17 +109,11 @@ def _member_terms(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray, spec
     summing the terms of one isometry left to right gives its ensemble average.
     """
     phi, p = _weighted_rows(v, sqrt_lam, evecs_t)
-
-    def g_of_units(units):
-        vals = _clamped_squares(np.linalg.svd(units.reshape(-1, dim_a, dim_b), compute_uv=False))
-        return spec.g(vals / vals.sum(axis=-1, keepdims=True))
-
     keep = p >= OUTCOME_FLOOR
-    if keep.all():
-        return p * g_of_units(phi / np.sqrt(p)[..., None]).reshape(p.shape)
     terms = np.zeros(p.shape)
     if keep.any():
-        terms[keep] = p[keep] * g_of_units(phi[keep] / np.sqrt(p[keep])[:, None])
+        units = phi[keep] / np.sqrt(p[keep])[:, None]
+        terms[keep] = p[keep] * spec.g(_schmidt_values(units.reshape(-1, dim_a, dim_b)))
     return terms
 
 
@@ -151,9 +142,7 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
         raise ValueError(f"rho has dimension {rho.dim}, expected {dim_a * dim_b}")
     lam, evecs = _eigen_decomposition(rho)
     rank = lam.size
-    if m is None:
-        m = rank + 2
-    m = int(m)
+    m = rank + 2 if m is None else int(m)
     if m < rank:
         raise ValueError(f"ensemble size m={m} is below the rank {rank}")
     if restarts < 0 or iterations < 0:

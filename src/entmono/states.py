@@ -244,20 +244,24 @@ def partial_trace_a(state, dim_a=None, dim_b=None) -> DensityMatrix:
 def schmidt(psi: PureState):
     """Schmidt decomposition of a bipartite pure state.
 
-    Returns ``(spectrum, basis_a, basis_b)`` where ``spectrum.values[k]`` is the
-    squared singular value of the coefficient matrix, and the columns
-    ``basis_a[:, k]``, ``basis_b[:, k]`` are the matching orthonormal local
-    vectors:  psi = sum_k sqrt(values[k]) |a_k>|b_k>  up to a global phase.
+    Returns ``(spectrum, basis_a, basis_b)``: the ``_schmidt_values`` row of the
+    coefficient matrix, and its singular vectors as the orthonormal columns
+    ``basis_a[:, k]``, ``basis_b[:, k]``:  psi = sum_k sqrt(values[k]) |a_k>|b_k>
+    up to a global phase.
     """
-    u, s, vh = np.linalg.svd(psi.coefficient_matrix, full_matrices=False)
-    return SchmidtSpectrum(_clamped_squares(s)), u, vh.T
+    u, _, vh = np.linalg.svd(psi.coefficient_matrix, full_matrices=False)
+    return SchmidtSpectrum(_schmidt_values(psi.coefficient_matrix)), u, vh.T
 
 
-def _clamped_squares(s: np.ndarray) -> np.ndarray:
-    """Squared singular values, those below ``SPECTRUM_CLAMP`` set to zero."""
-    values = s * s
+def _schmidt_values(m: np.ndarray) -> np.ndarray:
+    """Schmidt spectrum of each unit-norm coefficient matrix in the stack ``m`` (..., a, b).
+
+    Squared singular values, those below ``SPECTRUM_CLAMP`` set to zero, each row divided
+    by its sum: descending, no entry above 1.  Every pure-state spectrum is computed here.
+    """
+    values = np.linalg.svd(m, compute_uv=False) ** 2
     values[values < SPECTRUM_CLAMP] = 0.0
-    return values
+    return values / values.sum(axis=-1, keepdims=True)
 
 
 def apply_kraus(rho, ops):
@@ -300,10 +304,11 @@ def tensor_bipartite(psi: PureState, phi: PureState) -> PureState:
 
 
 def product_state(vec_a, vec_b) -> PureState:
-    a = np.asarray(vec_a, dtype=complex)
-    b = np.asarray(vec_b, dtype=complex)
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
+    vecs = [np.asarray(vec, dtype=complex) for vec in (vec_a, vec_b)]
+    for name, vec in zip(("vec_a", "vec_b"), vecs):
+        if not np.linalg.norm(vec) > 0.0:
+            raise ValueError(f"{name} is the zero vector, which has no direction to normalize")
+    a, b = (vec / np.linalg.norm(vec) for vec in vecs)
     return PureState(a.size, b.size, np.kron(a, b))
 
 
@@ -352,9 +357,10 @@ def random_pure_state(dim_a: int, dim_b: int, rng=None) -> PureState:
 
 def random_density_matrix(dim: int, rng=None, rank=None) -> DensityMatrix:
     """Unit-trace Wishart matrix G G^dag / tr with G a dim x rank Gaussian."""
-    rng = ensure_rng(rng)
     rank = dim if rank is None else rank
-    g = _complex_normal(rng, (dim, rank))
+    if not rank >= 1:
+        raise ValueError(f"rank must be at least 1, got {rank!r}")
+    g = _complex_normal(ensure_rng(rng), (dim, rank))
     m = g @ g.conj().T
     return DensityMatrix(dim, m / np.trace(m))
 

@@ -417,6 +417,7 @@ class TestCliProperty:
     @given(argv=cli_arguments())
     @example(argv=["schmidt", "ulp", "--alphas=0.5,0.75", "--csv", "out.csv"])
     @example(argv=["schmidt", "bell", "--alphas=-0.0", "--csv", "out.csv"])
+    @example(argv=["dilution", "--theta=5.734297452961379e-159", "--n=1", "--samples=1", "--alphas=0.0"])
     def test_clean_exit_and_finite_output(self, state_dir, argv):
         """Every command exits 0, 2, 3 or 4 and prints no nan, inf or -0."""
         csv = state_dir / "out.csv"

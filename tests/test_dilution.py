@@ -95,6 +95,11 @@ class TestDilutionTarget:
         for theta in (0.0, math.pi / 4, -0.1, 1.0):
             with pytest.raises(ValueError, match="theta"):
                 DilutionTarget(theta)
+        # sin^2 theta underflows: cos^2/sin^2 overflows, or sin^2 is exactly 0
+        for theta in (1e-155, 5.734297452961379e-159, 1e-170, 5e-324):
+            with pytest.raises(ValueError, match=f"theta {theta!r} is too small"):
+                DilutionTarget(theta)
+        DilutionTarget(1.4e-154)  # still accepted: cos^2/sin^2 is about 5e307
 
     def test_single_copy_entropies(self):
         assert PI6.entanglement(1.0) == pytest.approx(0.811278, abs=1e-6)

@@ -387,6 +387,13 @@ class TestCheckC1:
         assert report.records == [] and report.worst_record is None and report.max_violation == 0.0
 
     @pytest.mark.parametrize("screen", [check_c1, check_c2])
+    @pytest.mark.parametrize("trials, message", [(-1, "trial count must be non-negative, got -1"),
+                                                 (2.5, "trial count must be an integer, got 2.5")])
+    def test_bad_trial_count_rejected(self, screen, trials, message):
+        with pytest.raises(ValueError, match=message):
+            screen(E1, trials=trials, dims=(2, 2), seed=1)
+
+    @pytest.mark.parametrize("screen", [check_c1, check_c2])
     def test_non_finite_monotone_rejected(self, screen):
         with pytest.raises(ValueError, match=r"monotone 'nan' is not finite on trial #0"):
             screen([E1, NAN_SPEC], trials=2, dims=(2, 2), seed=1)

@@ -14,13 +14,16 @@ from entmono import (
     maximally_entangled,
     monotone_by_name,
     monotone_from_concave,
+    product_state,
     random_density_matrix,
     random_pure_state,
     renyi_entropy,
+    schmidt,
     tensor_bipartite,
     trace_fn_spec,
 )
-from entmono.monotones import linear_entropy_term, shannon_term
+from entmono.monotones import linear_entropy_term, shannon_term, spectrum_of
+from entmono.states import _schmidt_values
 
 # direct high-precision evaluation of -0.7 log2 0.7 - 0.3 log2 0.3
 H_07_03 = 0.8812908992306927
@@ -380,3 +383,23 @@ class TestRegistry:
             monotone_by_name("e_alpha:abc")
         with pytest.raises(ValueError, match="alpha"):
             monotone_by_name("e_alpha:1.5")
+
+
+class TestOneSpectrumKernel:
+    """Every pure-state spectrum comes from states._schmidt_values."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(1, 1), (1, 3), (2, 2), (2, 5), (3, 3), (4, 2), (8, 8)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_spectrum_of_schmidt_and_kernel_agree_bitwise(self, dims, seed):
+        psi = random_pure_state(*dims, np.random.default_rng(seed))
+        kernel = _schmidt_values(psi.coefficient_matrix[None])[0]
+        assert spectrum_of(psi).values.tobytes() == kernel.tobytes()
+        assert schmidt(psi)[0].values.tobytes() == kernel.tobytes()
+
+    @pytest.mark.parametrize("name", ["e0", "e1", "e_alpha:0.5", "e_alpha:0.999",
+                                      "trace_fn:linear", "trace_fn:shannon"])
+    def test_product_state_evaluates_to_exact_zero(self, name, rng):
+        for _ in range(20):
+            psi = product_state([1.0], rng.normal(size=3) + 1j * rng.normal(size=3))
+            assert monotone_by_name(name)(psi).hex() == (0.0).hex()

@@ -13,7 +13,8 @@ from entmono import (
     random_pure_state,
     roof_estimate,
 )
-from entmono.monotones import alpha_entropy_spec
+from entmono import roof
+from entmono.monotones import alpha_entropy_spec, monotone_by_name
 from entmono.states import _haar_isometry
 
 E1 = alpha_entropy_spec(1.0)
@@ -154,6 +155,31 @@ class TestRoofEstimate:
     def test_m_below_rank_rejected(self):
         with pytest.raises(ValueError, match="below the rank"):
             roof_estimate(benchmark_state(), 2, 2, E1, m=1, restarts=1, iterations=10, seed=0)
+
+
+class TestObjectiveIsTheReportedValue:
+    """The terms the search minimizes sum to the value reported for the same isometry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), rank=st.integers(1, 9),
+           extra=st.integers(0, 2), padding=st.integers(0, 2),
+           name=st.sampled_from(["e0", "e1", "e_alpha:0.5", "trace_fn:linear", "control:sum_squares"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_member_terms_sum_to_the_ensemble_average(self, dims, rank, extra, padding, name, seed):
+        rng = np.random.default_rng(seed)
+        spec = monotone_by_name(name)
+        rho = random_density_matrix(dims[0] * dims[1], rng, rank=min(rank, dims[0] * dims[1]))
+        lam, evecs = roof._eigen_decomposition(rho)
+        m = lam.size + extra
+        # a stack of isometries, each with zero rows appended: members of weight 0
+        v = np.zeros((3, m + padding, lam.size), dtype=complex)
+        for k in range(3):
+            v[k, :m] = _haar_isometry(m, lam.size, rng)
+        terms = roof._member_terms(v, np.sqrt(lam), evecs.T, spec, *dims)
+        for k in range(3):
+            members = roof._members(v[k], np.sqrt(lam), evecs.T, *dims)
+            want = sum(p * spec(psi) for p, psi in members)
+            assert sum(terms[k].tolist()).hex() == want.hex()
 
 
 class TestRoofEdgeCases:

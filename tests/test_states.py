@@ -14,6 +14,7 @@ from entmono import (
     partial_trace_b,
     phase_distance,
     product_state,
+    random_density_matrix,
     random_pure_state,
     schmidt,
     tensor_bipartite,
@@ -209,6 +210,18 @@ class TestSchmidt:
                 for k, w in enumerate(spectrum.values)
             )
             assert phase_distance(psi.amplitudes, rebuilt) < 1e-9
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_random_density_matrix_rejects_nonpositive_rank(self, rank):
+        with pytest.raises(ValueError, match=f"rank must be at least 1, got {rank}"):
+            random_density_matrix(4, rng=0, rank=rank)
+
+    @pytest.mark.parametrize("vec_a, vec_b, name", [([0, 0], [1, 0], "vec_a"), ([1, 0], [0, 0, 0], "vec_b")])
+    def test_product_state_rejects_zero_vector(self, vec_a, vec_b, name):
+        with pytest.raises(ValueError, match=f"{name} is the zero vector"):
+            product_state(vec_a, vec_b)
 
 
 class TestApplyKraus:
