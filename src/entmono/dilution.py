@@ -9,8 +9,8 @@ per-copy order-alpha entropies this module evaluates.
 
 Every sum over levels runs in the natural-log domain (binomials at N ~ 10^6
 overflow any fixed-width float) as a running log-sum-exp over one table of
-level log-weights, read at each cutoff; conversion to base-2 happens only at
-output.  The fidelity is reported in two conventions that agree on all
+level log-weights, read at each cutoff (orders just below alpha = 1 take one
+pass per cutoff instead); conversion to base-2 happens only at output.  The fidelity is reported in two conventions that agree on all
 step-function conclusions: the squared tail mass T^2 and the normalized-state
 overlap T (see ``fidelity_curve``).  Entropies use the standard non-negative
 sign convention.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .monotones import ALPHA_ONE_TOL, renyi_entropy
+from .monotones import _NEAR_ONE, ALPHA_ONE_TOL, renyi_entropy
 
 LN2 = math.log(2.0)
 
@@ -118,6 +118,25 @@ def _prefix(log_terms: np.ndarray, r):
     return np.logaddexp.accumulate(log_terms)[r]
 
 
+def _near_one_log_sums(log_w: np.ndarray, log_p: np.ndarray, log_t: np.ndarray, r_values, gap: float):
+    """ln sum_{l<=r} C(N,l) lambda_l^alpha at each cutoff r, for 0 < gap = 1 - alpha < ``_NEAR_ONE``.
+
+    With lambda_l = p_l / T_r the sum is 1 + S_r, where
+    S_r = sum_l (w_l / T_r) expm1(gap (ln T_r - ln p_l)) has no negative term
+    (T_r >= p_l), so S_r is a log-sum-exp and ln(1 + S_r) cancels nothing.
+    S_r depends on the cutoff through T_r, so each sample takes its own pass
+    over l <= r: O(r) per sample.
+    """
+    out = np.empty(len(r_values))
+    for k, (r, lt) in enumerate(zip(r_values, log_t)):
+        x = gap * (lt - log_p[: r + 1])
+        with np.errstate(divide="ignore"):  # x = 0 where T_r = p_l, as at r = 0: a zero term
+            log_terms = log_w[: r + 1] - lt + x + np.log(-np.expm1(-x))  # ln(expm1(x)) without overflow
+        top = log_terms.max()
+        out[k] = 0.0 if top == -np.inf else np.logaddexp(0.0, top + np.log(np.exp(log_terms - top).sum()))
+    return out
+
+
 def tail_mass(target: DilutionTarget, n_tilde: int, r: int) -> float:
     """T = sum_{l<=r} C(N,l) a^(N-l) b^l, in (0, 1], by log-sum-exp."""
     if not 0 <= r <= n_tilde:
@@ -178,7 +197,9 @@ def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,
     -(1/N) sum C(N,l) lambda_l log2 lambda_l and the order-alpha value is
     log2(sum C(N,l) lambda_l^alpha) / (N (1 - alpha)), or the Shannon value
     within ``ALPHA_ONE_TOL`` of alpha = 1.  Each sum is one running log-sum-exp
-    over the level table, read at every cutoff: O(N + S) per call.  Shifting
+    over the level table, read at every cutoff: O(N + S) per call.  Orders
+    with 1 - alpha below ``monotones._NEAR_ONE`` (the window ``renyi_entropy``
+    uses) instead take ``_near_one_log_sums``, O(r) per sample.  Shifting
     the Shannon sum about level r, N ln2 e1 = (ln T - ln p_r) - ln(a/b)(r - L),
     with L the mean retained level, gives exactly 0 at r = 0 and avoids the
     order-N cancellation of ln T - sum_l C(N,l) p_l ln p_l / T.
@@ -211,7 +232,10 @@ def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,
         elif alpha == 0.0:
             per_alpha[alpha] = ms / n_tilde
         else:
-            log_s = _prefix(log_c + alpha * log_p, r_values) - alpha * log_t
+            if 1.0 - alpha < _NEAR_ONE:
+                log_s = _near_one_log_sums(log_w, log_p, log_t, r_values, 1.0 - alpha)
+            else:
+                log_s = _prefix(log_c + alpha * log_p, r_values) - alpha * log_t
             per_alpha[alpha] = log_s / (LN2 * n_tilde * (1.0 - alpha)) + 0.0
 
     return DilutionCurve(

@@ -67,13 +67,15 @@ def ensemble_from_isometry(rho: DensityMatrix, v, dim_a: int, dim_b: int):
     return _members(_checked_isometry(v, lam.size), np.sqrt(lam), evecs.T, dim_a, dim_b)
 
 
-def _checked_isometry(v, rank: int) -> np.ndarray:
-    """``v`` as a complex array, after checking it has orthonormal columns, ``rank`` of them."""
+def _checked_isometry(v, rank: int, cap=None) -> np.ndarray:
+    """``v`` as a complex array, checked to have ``rank`` orthonormal columns and at most ``cap`` rows."""
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[1] != rank:
         raise ValueError(f"isometry must have {rank} columns (the rank of rho), got {v.shape}")
     if v.shape[0] < rank:
         raise ValueError(f"ensemble size {v.shape[0]} is below the rank {rank}")
+    if cap is not None and v.shape[0] > cap:
+        raise ValueError(f"ensemble size {v.shape[0]} exceeds the cap m={cap}")
     if not _within(v.conj().T @ v - np.eye(rank), 1e-10):
         raise ValueError("matrix columns are not orthonormal: V^dag V != I")
     return v
@@ -129,14 +131,14 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
     and the remaining restarts are random.  Restarts use derived seeds, so the
     best value is non-increasing in the restart count for a fixed master seed.
     Supplied isometries must have orthonormal columns, one per eigenvector of
-    rho; restart and iteration counts must be non-negative.
+    rho, and at most m rows; restart and iteration counts must be non-negative.
 
     All restarts advance in lockstep, each drawing from its own generator, so
     the result is identical to running them one after another.  Each restart
     caches its members' terms p_j g_j; a step re-evaluates only the two
     members its rotation changed, with one stacked SVD and one ``spec.g``
     call across all restarts, and sums the terms left to right in member
-    order.
+    order.  The best run's sum is the reported value.
     """
     if rho.dim != dim_a * dim_b:
         raise ValueError(f"rho has dimension {rho.dim}, expected {dim_a * dim_b}")
@@ -153,13 +155,13 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
     basis_t = evecs.T
     master = ensure_rng(seed)
     starts = [np.eye(m, rank, dtype=complex)]
-    starts += [_checked_isometry(v0, rank) for v0 in initial_isometries or ()]
+    starts += [_checked_isometry(v0, rank, m) for v0 in initial_isometries or ()]
     n_runs = max(restarts, len(starts), 1)
     children = np.random.SeedSequence(master.integers(2**63)).spawn(n_runs)
     rngs = [np.random.default_rng(child) for child in children]
     starts += [_haar_isometry(m, rank, rng) for rng in rngs[len(starts):]]
     # Shorter starts are padded with zero rows, which are members of weight 0.
-    v = np.zeros((n_runs, max(start.shape[0] for start in starts), rank), dtype=complex)
+    v = np.zeros((n_runs, m, rank), dtype=complex)
     for run, start in enumerate(starts):
         v[run, : start.shape[0]] = start
 
@@ -191,17 +193,15 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
             trial[runs, pairs] = _member_terms(rotated, sqrt_lam, basis_t, spec, dim_a, dim_b)
             totals = np.add.accumulate(trial, axis=1)[:, -1]
             accept = totals < current
-            if accept.any():
-                v[runs[accept], pairs[accept]] = rotated[accept]
-                terms[accept] = trial[accept]
-                current = np.where(accept, totals, current)
+            v[runs[accept], pairs[accept]] = rotated[accept]
+            terms[accept] = trial[accept]
+            current = np.where(accept, totals, current)
             step *= decay
 
     best = int(np.argmin(current))  # ties go to the lowest-index restart
     members = _members(v[best], sqrt_lam, basis_t, dim_a, dim_b)
-    value = float(sum(p * spec(psi) for p, psi in members))
     # Settled when the winning restart gained nothing measurable over its
     # final fifth of iterations.
     converged = at_checkpoint[best] - current[best] <= 1e-9
-    return RoofEstimate(value=value, ensemble=tuple(members), restarts=n_runs,
+    return RoofEstimate(value=float(current[best]), ensemble=tuple(members), restarts=n_runs,
                         converged=bool(converged), m=m)

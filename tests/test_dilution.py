@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
@@ -308,6 +309,32 @@ class TestEntropyCurves:
             x_star_finite(PI6, n)
         with pytest.raises(ValueError, match="copy count"):
             fidelity_curve(PI6, n, [0.5])
+
+
+class TestNearOneWindow:
+    """Orders with 0 < 1 - alpha < 1e-4 against a 50-digit sum over the same float a and b."""
+
+    ALPHAS = (1.0 - 2e-12, 1.0 - 1e-9, 1.0 - 5e-5)
+
+    @staticmethod
+    def reference(target, n, r, alpha):
+        with mpmath.workdps(50):
+            a, b, gap = mpmath.mpf(target.a), mpmath.mpf(target.b), 1 - mpmath.mpf(alpha)
+            p = [a ** (n - l) * b**l for l in range(r + 1)]
+            w = [mpmath.binomial(n, l) * p[l] for l in range(r + 1)]
+            t = mpmath.fsum(w)
+            s = mpmath.fsum(wl / t * (pl / t) ** -gap for wl, pl in zip(w, p))
+            return float(mpmath.log(s, 2) / (n * gap))
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_matches_the_exact_sum(self, n):
+        target = DilutionTarget(0.5)
+        xs = [0.0, 0.3, 0.6, 1.0]
+        curve = entropy_curves(target, n, xs, alphas=self.ALPHAS)
+        for alpha in self.ALPHAS:
+            for r, value in zip(curve.r_values, curve.e_alpha_per_copy[alpha]):
+                assert value == pytest.approx(self.reference(target, n, int(r), alpha), abs=1e-13)
+            assert curve.e_alpha_per_copy[alpha][0] == 0.0
 
 
 class TestMillionCopyDrift:

@@ -43,6 +43,31 @@ def wootters_eof(rho: np.ndarray) -> float:
     return 0.0 if x >= 1.0 else float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
+def isotropic_eof(f: float, d: int) -> float:
+    """Entanglement of formation of the d x d isotropic state of singlet fraction F, in bits.
+
+    Terhal and Vollbrecht (PRL 85, 2625): the convex hull co(R)(F) of
+    R(F) = H2(gamma) + (1 - gamma) log2(d - 1), gamma = (sqrt(F) + sqrt((d-1)(1-F)))^2 / d.
+    It is 0 for F <= 1/d and R(F) up to F = 4(d-1)/d^2 (which is 1 at d = 2); above
+    that it is the line (d/(d-2))(F-1) log2(d-1) + log2 d.  That middle region is
+    proven only for d <= 3, so larger d is refused.
+    """
+    assert d in (2, 3), "the closed form is proven for d = 2 and d = 3 only"
+    if f <= 1.0 / d:
+        return 0.0
+    if f > 4.0 * (d - 1) / d**2:
+        return d / (d - 2) * (f - 1.0) * np.log2(d - 1) + np.log2(d)
+    gamma = (np.sqrt(f) + np.sqrt((d - 1) * (1.0 - f))) ** 2 / d
+    h2 = 0.0 if gamma >= 1.0 else -gamma * np.log2(gamma) - (1.0 - gamma) * np.log2(1.0 - gamma)
+    return float(h2 + (1.0 - gamma) * np.log2(d - 1))
+
+
+def isotropic_state(f: float, d: int) -> DensityMatrix:
+    """rho_F = F |Phi+><Phi+| + (1 - F)(I - |Phi+><Phi+|)/(d^2 - 1)."""
+    phi = density_of(maximally_entangled(d)).entries
+    return DensityMatrix(d * d, f * phi + (1.0 - f) * (np.eye(d * d) - phi) / (d * d - 1))
+
+
 def benchmark_state() -> DensityMatrix:
     bell = maximally_entangled(2)
     v01 = np.zeros(4, dtype=complex)
@@ -157,6 +182,25 @@ class TestRoofEstimate:
             roof_estimate(benchmark_state(), 2, 2, E1, m=1, restarts=1, iterations=10, seed=0)
 
 
+class TestIsotropicOracle:
+    @pytest.mark.parametrize("f", [0.0, 0.3, 0.5, 0.6, 0.75, 0.9, 0.99, 1.0])
+    def test_two_qubit_formula_is_wootters(self, f):
+        assert isotropic_eof(f, 2) == pytest.approx(wootters_eof(isotropic_state(f, 2).entries), abs=1e-12)
+
+    def test_qutrit_line_meets_the_curve(self):
+        # the hull's line touches R at F = 8/9 and ends at log2 3 for the maximally entangled state
+        corner = 8.0 / 9.0
+        line = 3.0 * (corner - 1.0) + np.log2(3.0)
+        assert isotropic_eof(corner, 3) == pytest.approx(line, abs=1e-12)
+        assert isotropic_eof(1.0, 3) == pytest.approx(np.log2(3.0), abs=1e-15)
+        assert isotropic_eof(1.0 / 3.0, 3) == 0.0
+
+    @pytest.mark.parametrize("f", [0.5, 0.7, 0.85, 0.95])
+    def test_qutrit_estimate_never_below_the_oracle(self, f):
+        est = roof_estimate(isotropic_state(f, 3), 3, 3, E1, seed=1)
+        assert est.value >= isotropic_eof(f, 3) - 1e-9
+
+
 class TestObjectiveIsTheReportedValue:
     """The terms the search minimizes sum to the value reported for the same isometry."""
 
@@ -180,6 +224,24 @@ class TestObjectiveIsTheReportedValue:
             members = roof._members(v[k], np.sqrt(lam), evecs.T, *dims)
             want = sum(p * spec(psi) for p, psi in members)
             assert sum(terms[k].tolist()).hex() == want.hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), rank=st.integers(1, 9),
+           extra=st.integers(0, 2), short_start=st.booleans(), restarts=st.integers(0, 3),
+           iterations=st.sampled_from([0, 7, 40]),
+           name=st.sampled_from(["e0", "e1", "e_alpha:0.5", "trace_fn:linear", "control:sum_squares"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_estimate_value_is_its_ensemble_average(self, dims, rank, extra, short_start, restarts,
+                                                     iterations, name, seed):
+        # A supplied start shorter than m is padded with zero rows inside the search.
+        rng = np.random.default_rng(seed)
+        spec = monotone_by_name(name)
+        rho = random_density_matrix(dims[0] * dims[1], rng, rank=min(rank, dims[0] * dims[1]))
+        rank = roof._eigen_decomposition(rho)[0].size
+        starts = [_haar_isometry(rank, rank, rng)] if short_start else []
+        est = roof_estimate(rho, *dims, spec, m=rank + extra, restarts=restarts, iterations=iterations,
+                            seed=seed, initial_isometries=starts)
+        assert est.value.hex() == sum(p * spec(psi) for p, psi in est.ensemble).hex()
 
 
 class TestRoofEdgeCases:
@@ -209,6 +271,12 @@ class TestRoofEdgeCases:
         assert est.m == 3 and len(est.ensemble) <= 3
         assert est.value >= wootters_eof(rho.entries) - 1e-9
         assert np.max(np.abs(est.reconstruction() - rho.entries)) < 1e-10
+
+    def test_supplied_start_longer_than_the_cap_rejected(self, rng):
+        # rows past m were never searched, yet such a start could win outright
+        with pytest.raises(ValueError, match="ensemble size 6 exceeds the cap m=2"):
+            roof_estimate(benchmark_state(), 2, 2, E1, m=2, restarts=1, iterations=0, seed=0,
+                          initial_isometries=[_haar_isometry(6, 2, rng)])
 
     def test_supplied_start_must_be_an_isometry(self, rng):
         # A scaled isometry realizes four times rho; it never wins the search,
