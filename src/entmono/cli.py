@@ -124,7 +124,9 @@ def cmd_dilution(args) -> int:
     )
     print(f"E_1 per copy of the target: {target.entanglement(1.0):.4f}")
     header = ["x", "r", "M_of_r", "T", "F_paper", "F_normalized", "e1"]
-    header += [f"e_alpha:{alpha:g}" for alpha in alphas]
+    # an order that ``:g`` would round is named in full, so distinct orders get distinct columns
+    header += [f"e_alpha:{alpha:g}" if float(f"{alpha:g}") == alpha else f"e_alpha:{alpha!r}"
+               for alpha in alphas]
     columns = [curve.x_samples, curve.r_values, curve.m_of_r, curve.tail, curve.fidelity_paper,
                curve.fidelity_normalized, curve.e1_per_copy]
     columns += [curve.e_alpha_per_copy[alpha] for alpha in alphas]

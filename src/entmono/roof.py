@@ -10,9 +10,11 @@ the roof (it is the exact average of an explicit realizing ensemble); global
 optimality is never claimed.
 
 The restarts of one search advance in lockstep, each on its own generator,
-and give results identical to running them one after another.  A rotation
-changes two rows of V, so a step re-evaluates only those two members of each
-restart and re-sums the cached terms of the rest.
+and give results identical to running them one after another.  Each run draws
+its proposals in blocks up front, so a step makes no generator call.  A
+rotation changes two rows of V, so a step re-evaluates only those two members
+of each restart and re-sums the cached terms of the rest.  The same descent
+searches the stacked runs of many states at once (``locc.check_c2``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .states import (OUTCOME_FLOOR, SPECTRUM_CLAMP, DensityMatrix, PureState, _h
                      _phase_fixed_qr, _schmidt_values, _sq_norms, _within, ensure_rng)
 
 STEP0, STEP_MIN = 0.6, 0.01  # the proposal step size decays exponentially from STEP0 to STEP_MIN
+ROOF_DRAW_BLOCK = 256  # each run draws its proposals for this many steps at a time
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,64 @@ def _member_terms(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray, spec
     return terms
 
 
+def _descend(v: np.ndarray, sqrt_lam, basis_t, spec: MonotoneSpec, dim_a: int, dim_b: int,
+             rngs, iterations: int):
+    """Random-rotation descent on a stack of runs ``v`` (n, m, rank), updated in place.
+
+    Run k searches the ensembles of its own state: ``sqrt_lam`` (n, 1, rank)
+    and ``basis_t`` (n, rank, d) hold the square-rooted eigenvalues and the
+    transposed eigenvectors of each run, or broadcast to those shapes.  Each
+    step proposes, per run, a complex Givens rotation of two distinct rows by
+    angle theta ~ N(0, step^2) and phase phi ~ U[0, 2pi), with the step size
+    decaying from STEP0 to STEP_MIN, and accepts it on strict decrease of the
+    run's left-to-right sum of member terms.  Run k draws its proposals from
+    ``rngs[k]``, one ``random((steps, 5))`` per ``ROOF_DRAW_BLOCK`` steps; every
+    row is a contiguous slice of the stream mapped element by element, so the
+    result does not depend on the block size.  Returns each run's final sum
+    and its sum at 80% of the iterations.
+    """
+    n, m, _ = v.shape
+    terms = _member_terms(v, sqrt_lam, basis_t, spec, dim_a, dim_b)
+    # accumulate sums each run's terms left to right, in member order; a
+    # pairwise sum would round accept decisions differently
+    current = np.add.accumulate(terms, axis=1)[:, -1]
+    at_checkpoint = current
+    if m < 2:
+        return current, at_checkpoint
+    checkpoint = int(0.8 * iterations)
+    runs = np.arange(n)[:, None]
+    decay = (STEP_MIN / STEP0) ** (1.0 / max(iterations, 1))
+    step = STEP0
+    for first in range(0, iterations, ROOF_DRAW_BLOCK):
+        size = min(ROOF_DRAW_BLOCK, iterations - first)
+        u = np.stack([rng.random((size, 5)) for rng in rngs])
+        # the step sizes by repeated multiplication, as a scalar loop would give them
+        steps = np.multiply.accumulate(np.r_[step, np.full(size - 1, decay)])
+        step = steps[-1] * decay
+        # an ordered pair of distinct rows, uniform: u0 picks i, u1 one of the other m - 1
+        i = (u[..., 0] * m).astype(np.intp)
+        pairs = np.stack([i, (i + 1 + (u[..., 1] * (m - 1)).astype(np.intp)) % m], axis=-1)
+        # Box-Muller on 1 - u2 in (0, 1]
+        theta = steps * np.sqrt(-2.0 * np.log1p(-u[..., 2])) * np.cos(2.0 * np.pi * u[..., 3])
+        cos = np.cos(theta)[..., None]
+        sin = (np.sin(theta) * np.exp(1j * (2.0 * np.pi * u[..., 4])))[..., None]
+        for t in range(size):
+            if first + t == checkpoint:
+                at_checkpoint = current
+            pair, c, s = pairs[:, t], cos[:, t], sin[:, t]
+            old = v[runs, pair]
+            rotated = np.stack([c * old[:, 0] - np.conj(s) * old[:, 1],
+                                s * old[:, 0] + c * old[:, 1]], axis=1)
+            trial = terms.copy()
+            trial[runs, pair] = _member_terms(rotated, sqrt_lam, basis_t, spec, dim_a, dim_b)
+            totals = np.add.accumulate(trial, axis=1)[:, -1]
+            accept = totals < current
+            v[runs[accept], pair[accept]] = rotated[accept]
+            terms[accept] = trial[accept]
+            current = np.where(accept, totals, current)
+    return current, at_checkpoint
+
+
 def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec,
                   m=None, restarts: int = 8, iterations: int = 600, seed=0,
                   initial_isometries=None) -> RoofEstimate:
@@ -133,12 +194,13 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
     Supplied isometries must have orthonormal columns, one per eigenvector of
     rho, and at most m rows; restart and iteration counts must be non-negative.
 
-    All restarts advance in lockstep, each drawing from its own generator, so
-    the result is identical to running them one after another.  Each restart
-    caches its members' terms p_j g_j; a step re-evaluates only the two
-    members its rotation changed, with one stacked SVD and one ``spec.g``
-    call across all restarts, and sums the terms left to right in member
-    order.  The best run's sum is the reported value.
+    All restarts advance in lockstep through ``_descend``, each drawing its
+    proposals in blocks from its own generator, so the result is identical to
+    running them one after another.  Each restart caches its members' terms
+    p_j g_j; a step re-evaluates only the two members its rotation changed,
+    with one stacked SVD and one ``spec.g`` call across all restarts, and sums
+    the terms left to right in member order.  The best run's sum is the
+    reported value.
     """
     if rho.dim != dim_a * dim_b:
         raise ValueError(f"rho has dimension {rho.dim}, expected {dim_a * dim_b}")
@@ -164,39 +226,7 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
     v = np.zeros((n_runs, m, rank), dtype=complex)
     for run, start in enumerate(starts):
         v[run, : start.shape[0]] = start
-
-    terms = _member_terms(v, sqrt_lam, basis_t, spec, dim_a, dim_b)
-    # accumulate sums each run's terms left to right, in member order; a
-    # pairwise sum would round accept decisions differently
-    current = np.add.accumulate(terms, axis=1)[:, -1]
-    at_checkpoint = current
-    checkpoint = int(0.8 * iterations)
-    if m >= 2:
-        runs = np.arange(n_runs)[:, None]
-        pairs = np.empty((n_runs, 2), dtype=np.intp)
-        theta, angle = np.empty(n_runs), np.empty(n_runs)
-        decay = (STEP_MIN / STEP0) ** (1.0 / max(iterations, 1))
-        step = STEP0
-        for it in range(iterations):
-            if it == checkpoint:
-                at_checkpoint = current
-            for run, rng in enumerate(rngs):
-                pairs[run] = rng.choice(m, size=2, replace=False)
-                theta[run] = rng.normal(scale=step)
-                angle[run] = rng.uniform(0.0, 2.0 * np.pi)
-            c = np.cos(theta)[:, None]
-            s = (np.sin(theta) * np.exp(1j * angle))[:, None]
-            old = v[runs, pairs]
-            rotated = np.stack([c * old[:, 0] - np.conj(s) * old[:, 1],
-                                s * old[:, 0] + c * old[:, 1]], axis=1)
-            trial = terms.copy()
-            trial[runs, pairs] = _member_terms(rotated, sqrt_lam, basis_t, spec, dim_a, dim_b)
-            totals = np.add.accumulate(trial, axis=1)[:, -1]
-            accept = totals < current
-            v[runs[accept], pairs[accept]] = rotated[accept]
-            terms[accept] = trial[accept]
-            current = np.where(accept, totals, current)
-            step *= decay
+    current, at_checkpoint = _descend(v, sqrt_lam, basis_t, spec, dim_a, dim_b, rngs, iterations)
 
     best = int(np.argmin(current))  # ties go to the lowest-index restart
     members = _members(v[best], sqrt_lam, basis_t, dim_a, dim_b)

@@ -204,6 +204,17 @@ class TestDilutionCommand:
         assert float(row["T"]) == pytest.approx(189 / 256, abs=1e-9)
         assert float(row["F_paper"]) == pytest.approx((189 / 256) ** 2, abs=1e-9)
 
+    @pytest.mark.parametrize("alphas, names", [
+        ("0.999999999998,1", ["e_alpha:0.999999999998", "e_alpha:1"]),
+        ("0.99999,0.999999999998", ["e_alpha:0.99999", "e_alpha:0.999999999998"]),
+        ("0,0.5,1,0.25", ["e_alpha:0", "e_alpha:0.5", "e_alpha:1", "e_alpha:0.25"]),
+    ])
+    def test_distinct_orders_get_distinct_headers(self, alphas, names, capsys):
+        # ``:g`` keeps 6 digits; an order it would round is written in full
+        assert main(["dilution", "--theta", "0.5", "--n", "20", "--samples", "3", "--alphas", alphas]) == 0
+        header = capsys.readouterr().out.splitlines()[2].split(",")
+        assert header[7:] == names
+
     def test_theta_guard_exits_3(self, capsys):
         assert main(["dilution", "--theta", "0", "--n", "4"]) == 3
         assert "theta" in capsys.readouterr().err

@@ -496,6 +496,17 @@ class TestBlockedC2:
             report = check_c2(E1, trials=5, dims=(2, 2), seed=6)
         assert record_bits(report.records) == record_bits(reference_c2([E1], 5, (2, 2), 6))
 
+    @pytest.mark.parametrize("block", [2, 5])
+    def test_a_block_mixing_ranks_and_monotones(self, block):
+        # the first five trials draw ensembles of 1, 2 and 3 members, so a
+        # block of five holds three ranks, and three monotones triple the groups
+        specs = C2_SPECS + [monotone_by_name("e_alpha:0.5")]
+        children = np.random.SeedSequence(2).spawn(5)
+        assert {int(np.random.default_rng(c).integers(1, 4)) for c in children} == {1, 2, 3}
+        with mock.patch.object(locc, "C1_BLOCK", block):
+            report = check_c2(specs, trials=7, dims=(2, 3), seed=2, ensemble_range=(1, 3))
+        assert record_bits(report.records) == record_bits(reference_c2(specs, 7, (2, 3), 2, (1, 3)))
+
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_fewer_trials_give_a_prefix(self, block):
         full = check_c2(E1, trials=4, dims=(2, 2), seed=8)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,26 @@ def isotropic_state(f: float, d: int) -> DensityMatrix:
     """rho_F = F |Phi+><Phi+| + (1 - F)(I - |Phi+><Phi+|)/(d^2 - 1)."""
     phi = density_of(maximally_entangled(d)).entries
     return DensityMatrix(d * d, f * phi + (1.0 - f) * (np.eye(d * d) - phi) / (d * d - 1))
+
+
+def werner_eof(p: float) -> float:
+    """Entanglement of formation of the d x d Werner state of antisymmetric weight p, in bits.
+
+    Vollbrecht and Werner (PRA 64, 062307): for every d it is
+    H2(1/2 - sqrt(p (1 - p))) when p >= 1/2, and 0 below.
+    """
+    if p <= 0.5:
+        return 0.0
+    x = 0.5 - np.sqrt(p * (1.0 - p))
+    return 0.0 if x <= 0.0 else float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+
+
+def werner_state(p: float, d: int) -> DensityMatrix:
+    """rho_p = p P_as / dim_as + (1 - p) P_s / dim_s, with P_as, P_s = (I -/+ SWAP) / 2."""
+    swap = np.eye(d * d)[[(j % d) * d + j // d for j in range(d * d)]]
+    anti, sym = (np.eye(d * d) - swap) / 2.0, (np.eye(d * d) + swap) / 2.0
+    return DensityMatrix(d * d, (p * anti / (d * (d - 1) / 2) + (1.0 - p) * sym / (d * (d + 1) / 2))
+                         .astype(complex))
 
 
 def benchmark_state() -> DensityMatrix:
@@ -199,6 +221,106 @@ class TestIsotropicOracle:
     def test_qutrit_estimate_never_below_the_oracle(self, f):
         est = roof_estimate(isotropic_state(f, 3), 3, 3, E1, seed=1)
         assert est.value >= isotropic_eof(f, 3) - 1e-9
+
+
+class TestWernerOracle:
+    def test_closed_form_is_convex(self):
+        values = np.array([werner_eof(p) for p in np.linspace(0.0, 1.0, 401)])
+        assert np.min(values[:-2] - 2.0 * values[1:-1] + values[2:]) >= -1e-12
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.6, 0.8, 0.95, 1.0])
+    def test_two_qubit_formula_is_wootters(self, p):
+        assert werner_eof(p) == pytest.approx(wootters_eof(werner_state(p, 2).entries), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.6, 0.8, 0.95])
+    def test_qutrit_estimate_never_below_the_oracle(self, p):
+        est = roof_estimate(werner_state(p, 3), 3, 3, E1, seed=1)
+        assert est.value >= werner_eof(p) - 1e-9
+
+
+class TestSearchQuality:
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_default_estimates_stay_near_wootters(self, rank):
+        # 4x below the benchmark's ROOF_CEILING of 0.02 bits
+        rng = np.random.default_rng(40 + rank)
+        for _ in range(5):
+            rho = random_density_matrix(4, rng, rank=rank)
+            est = roof_estimate(rho, 2, 2, E1, seed=int(rng.integers(2**31)))
+            assert -1e-9 <= est.value - wootters_eof(rho.entries) <= 0.005
+
+
+def reference_search(rho, dims, spec, m, restarts, iterations, seed):
+    """The roof search one restart after another, drawing one proposal row per step."""
+    lam, evecs = roof._eigen_decomposition(rho)
+    rank, sqrt_lam, basis_t = lam.size, np.sqrt(lam), evecs.T
+    children = np.random.SeedSequence(np.random.default_rng(seed).integers(2**63)).spawn(max(restarts, 1))
+    totals = []
+    for run, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        v = np.eye(m, rank, dtype=complex) if run == 0 else _haar_isometry(m, rank, rng)
+        terms = roof._member_terms(v[None], sqrt_lam, basis_t, spec, *dims)[0]
+        total = np.add.accumulate(terms)[-1]
+        step = roof.STEP0
+        decay = (roof.STEP_MIN / roof.STEP0) ** (1.0 / max(iterations, 1))
+        for _ in range(iterations if m >= 2 else 0):
+            u = rng.random(5)
+            i = int(u[0] * m)
+            j = (i + 1 + int(u[1] * (m - 1))) % m
+            theta = step * np.sqrt(-2.0 * np.log1p(-u[2:3])) * np.cos(2.0 * np.pi * u[3:4])
+            c, s = np.cos(theta), np.sin(theta) * np.exp(1j * (2.0 * np.pi * u[4:5]))
+            rows = np.stack([c * v[i] - np.conj(s) * v[j], s * v[i] + c * v[j]])
+            trial = terms.copy()
+            trial[[i, j]] = roof._member_terms(rows[None], sqrt_lam, basis_t, spec, *dims)[0]
+            if np.add.accumulate(trial)[-1] < total:
+                v[[i, j]], terms, total = rows, trial, np.add.accumulate(trial)[-1]
+            step *= decay
+        totals.append(total)
+    return float(min(totals))
+
+
+def estimate_bits(est):
+    """An estimate as exact hex strings: value, member weights and amplitudes, converged."""
+    members = tuple((p.hex(), psi.amplitudes.tobytes().hex()) for p, psi in est.ensemble)
+    return est.value.hex(), members, est.converged
+
+
+class TestDrawSchedule:
+    """Each run draws its proposals in blocks; neither the block size nor lockstep changes a bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3)]), rank=st.integers(1, 6), extra=st.integers(0, 2),
+           restarts=st.integers(1, 3), iterations=st.integers(0, 40), block=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_size_changes_nothing(self, dims, rank, extra, restarts, iterations, block, seed):
+        rho = random_density_matrix(dims[0] * dims[1], np.random.default_rng(seed),
+                                    rank=min(rank, dims[0] * dims[1]))
+        m = roof._eigen_decomposition(rho)[0].size + extra
+        want = roof_estimate(rho, *dims, E1, m=m, restarts=restarts, iterations=iterations, seed=seed)
+        with mock.patch.object(roof, "ROOF_DRAW_BLOCK", block):
+            got = roof_estimate(rho, *dims, E1, m=m, restarts=restarts, iterations=iterations, seed=seed)
+        assert estimate_bits(got) == estimate_bits(want)
+
+    @pytest.mark.parametrize("iterations", [0, 1, roof.ROOF_DRAW_BLOCK + 1])
+    def test_equal_to_the_one_row_per_step_search(self, iterations):
+        rho = random_density_matrix(6, np.random.default_rng(11), rank=3)
+        est = roof_estimate(rho, 2, 3, E1, m=4, restarts=3, iterations=iterations, seed=12)
+        assert est.value.hex() == reference_search(rho, (2, 3), E1, 4, 3, iterations, 12).hex()
+
+    def test_single_pair(self, rng):
+        # m = 2 leaves one unordered pair of rows; every step rotates it
+        rho = random_density_matrix(4, rng, rank=2)
+        est = roof_estimate(rho, 2, 2, E1, m=2, restarts=2, iterations=150, seed=3)
+        assert est.value.hex() == reference_search(rho, (2, 2), E1, 2, 2, 150, 3).hex()
+        start = sum(p * E1(psi) for p, psi in ensemble_from_isometry(rho, np.eye(2), 2, 2))
+        assert wootters_eof(rho.entries) - 1e-9 <= est.value < start
+
+    def test_single_member_takes_no_step(self, rng):
+        # m = rank = 1: no pair to rotate, so the iteration count changes nothing
+        psi = random_pure_state(2, 2, rng)
+        ests = [roof_estimate(density_of(psi), 2, 2, E1, m=1, restarts=2, iterations=it, seed=5)
+                for it in (0, 1, roof.ROOF_DRAW_BLOCK + 1)]
+        assert len({estimate_bits(est) for est in ests}) == 1
+        assert ests[0].converged and ests[0].value == pytest.approx(E1(psi), abs=1e-12)
 
 
 class TestObjectiveIsTheReportedValue:
