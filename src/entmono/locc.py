@@ -504,15 +504,19 @@ def check_c2(monotone, trials: int = 200, dims=(2, 2), seed=0,
              ensemble_range=(2, 3)) -> MonotonicityReport:
     """Monte-Carlo screen of convexity under forgetting, via roof upper bounds.
 
-    Each trial draws a random pure-state ensemble {q_k, psi_k} and checks
+    Each trial draws a random pure-state ensemble {q_k, psi_k}, its member
+    count uniform in ``ensemble_range`` (two integers 1 <= lo <= hi), and checks
     sum q_k mu(psi_k) >= roof_estimate(sum q_k |psi_k><psi_k|) - ``MONOTONICITY_TOL``.
     The trial ensemble itself is handed to the roof search as a starting
     certificate, so the estimate never exceeds the left-hand side by more than
     numerical noise and the check is sound even when the local search stalls.
     Each roof search runs 2 restarts of 200 iterations; a block's searches
-    are stacked per (monotone, rank, m) group (see ``_c2_block``), and every
+    go to one ``roof._search`` per monotone (see ``_c2_block``), and every
     record is bitwise the one the per-trial ``roof_estimate`` gives.
     """
+    if not (np.shape(ensemble_range) == (2,) and all(isinstance(k, (int, np.integer)) for k in ensemble_range)
+            and 1 <= ensemble_range[0] <= ensemble_range[1]):
+        raise ValueError(f"ensemble range must be two integers 1 <= lo <= hi, got {ensemble_range!r}")
     return _screen("C2", partial(_c2_block, ensemble_range=ensemble_range), monotone, trials, dims, seed)
 
 
@@ -520,44 +524,27 @@ def _c2_block(children, dims, specs, ensemble_range):
     """(before, after) arrays of shape (len(children), len(specs)) for one block of C2 trials.
 
     Each trial's generator draws, in order: the member count, the members (as
-    ``random_pure_state``), the Dirichlet weights, and then one master seed per
-    spec, which ``roof_estimate(..., seed=rng, restarts=2)`` would draw.  Each
-    (spec, rank, m) group of the block's trials is then searched by one
-    ``roof._descend`` over two runs per trial, the eigen-ensemble and the
-    trial's own ensemble, each on the generator that seed derives.  ``after``
-    is the lower of a trial's two sums, ties to the first, so every record is
-    bitwise the one the per-trial ``roof_estimate`` gives.
+    ``random_pure_state``), the Dirichlet weights, and then, inside
+    ``roof._search``, one master seed per spec.  One eigendecomposition per
+    trial gives its own isometry and its searches; one ``_search`` per spec
+    covers the block, so every record is bitwise the one the per-trial
+    ``roof_estimate(..., seed=rng, restarts=2)`` gives.
     """
-    from .roof import _checked_isometry, _descend, _eigen_decomposition, isometry_of_ensemble
+    from .roof import _eigen_decomposition, _ensemble_isometry, _search
 
     lo, hi = ensemble_range
-    before, after = np.empty((len(children), len(specs))), np.empty((len(children), len(specs)))
-    eigen = []  # per trial: sqrt(lambda) as a (1, rank) row, and the eigenvectors
-    groups = {}  # (spec index, rank, m) -> runs (trial, start, generator), two per trial
+    before = np.empty((len(children), len(specs)))
+    searches = []  # per trial: (lam, evecs, m, restarts, generator, [own isometry])
     for t, child in enumerate(children):
         rng = np.random.default_rng(child)
         k = int(rng.integers(lo, hi + 1))
         members = [random_pure_state(*dims, rng) for _ in range(k)]
         probs = rng.dirichlet(np.ones(k))
-        rho = DensityMatrix(dims[0] * dims[1], _mixture(zip(probs, members)))
-        seed_iso = isometry_of_ensemble(rho, list(zip(probs, members)))
-        lam, evecs = _eigen_decomposition(rho)
-        eigen.append((np.sqrt(lam)[None], evecs))
-        m = max(seed_iso.shape[0], 4)
-        own = np.zeros((m, lam.size), dtype=complex)
-        own[: seed_iso.shape[0]] = _checked_isometry(seed_iso, lam.size, m)
-        starts = (np.eye(m, lam.size, dtype=complex), own)
-        for j, spec in enumerate(specs):
-            before[t, j] = sum(p * spec(psi) for p, psi in zip(probs, members))
-            seeds = np.random.SeedSequence(rng.integers(2**63)).spawn(2)
-            groups.setdefault((j, lam.size, m), []).extend(
-                (t, start, np.random.default_rng(s)) for start, s in zip(starts, seeds))
-
-    for (j, _, _), runs in groups.items():
-        v = np.stack([start for _, start, _ in runs])
-        sqrt_lam = np.stack([eigen[t][0] for t, _, _ in runs])
-        basis_t = np.stack([eigen[t][1] for t, _, _ in runs]).swapaxes(1, 2)
-        current = _descend(v, sqrt_lam, basis_t, specs[j], *dims, [rng for *_, rng in runs], 200)[0]
-        pairs = current.reshape(-1, 2)
-        after[[t for t, _, _ in runs[::2]], j] = pairs[np.arange(len(pairs)), np.argmin(pairs, axis=1)]
+        lam, evecs = _eigen_decomposition(DensityMatrix(dims[0] * dims[1], _mixture(zip(probs, members))))
+        own = _ensemble_isometry(lam, evecs, zip(probs, members))
+        searches.append((lam, evecs, max(own.shape[0], 4), 2, rng, [own]))
+        before[t] = [sum(p * spec(psi) for p, psi in zip(probs, members)) for spec in specs]
+    after = np.empty_like(before)
+    for j, spec in enumerate(specs):
+        after[:, j] = [value for _, value, *_ in _search(searches, spec, *dims, 200)]
     return before, after

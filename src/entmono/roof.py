@@ -14,7 +14,7 @@ and give results identical to running them one after another.  Each run draws
 its proposals in blocks up front, so a step makes no generator call.  A
 rotation changes two rows of V, so a step re-evaluates only those two members
 of each restart and re-sums the cached terms of the rest.  The same descent
-searches the stacked runs of many states at once (``locc.check_c2``).
+searches the stacked runs of many states at once (``_search``).
 """
 
 from __future__ import annotations
@@ -99,7 +99,11 @@ def _members(v: np.ndarray, sqrt_lam: np.ndarray, evecs_t: np.ndarray, dim_a: in
 
 def isometry_of_ensemble(rho: DensityMatrix, ensemble) -> np.ndarray:
     """Inverse map: the isometry whose rows encode a given realizing ensemble."""
-    lam, evecs = _eigen_decomposition(rho)
+    return _ensemble_isometry(*_eigen_decomposition(rho), ensemble)
+
+
+def _ensemble_isometry(lam: np.ndarray, evecs: np.ndarray, ensemble) -> np.ndarray:
+    """``isometry_of_ensemble`` on the eigenpairs ``_eigen_decomposition`` gives."""
     rows = [evecs.conj().T @ (np.sqrt(p) * psi.amplitudes) / np.sqrt(lam) for p, psi in ensemble]
     # Re-orthonormalize against roundoff in the supplied ensemble.
     return _phase_fixed_qr(np.array(rows))
@@ -180,6 +184,42 @@ def _descend(v: np.ndarray, sqrt_lam, basis_t, spec: MonotoneSpec, dim_a: int, d
     return current, at_checkpoint
 
 
+def _search(searches, spec: MonotoneSpec, dim_a: int, dim_b: int, iterations: int) -> list:
+    """Per search: its best isometry and sum, whether that run settled, and the run count.
+
+    A search is (lam, evecs, m, restarts, seed, initial_isometries): a state's
+    retained eigenpairs and ``roof_estimate``'s own arguments.  In list order,
+    each checks its supplied starts, draws one master seed from ``seed`` and
+    spawns a generator per run; runs start from the eigen-ensemble, then the
+    supplied starts, then Haar isometries, padded with zero rows (members of
+    weight 0) to m rows.  The runs of all searches of equal shape (runs, m,
+    rank) advance as one stack through ``_descend``.  The best run has the
+    lowest sum, ties to the lowest index, and settled when it gained nothing
+    measurable over its final fifth of iterations.
+    """
+    groups = {}  # (runs, m, rank) -> per search: index, generators, per-run starts, sqrt(lam), evecs^T
+    for index, (lam, evecs, m, restarts, seed, initial) in enumerate(searches):
+        starts = [np.eye(m, lam.size, dtype=complex)]
+        starts += [_checked_isometry(v0, lam.size, m) for v0 in initial or ()]
+        n_runs = max(restarts, len(starts), 1)
+        children = np.random.SeedSequence(ensure_rng(seed).integers(2**63)).spawn(n_runs)
+        rngs = [np.random.default_rng(child) for child in children]
+        starts += [_haar_isometry(m, lam.size, rng) for rng in rngs[len(starts):]]
+        v = np.zeros((n_runs, m, lam.size), dtype=complex)
+        for run, start in enumerate(starts):
+            v[run, : start.shape[0]] = start
+        groups.setdefault(v.shape, []).append((index, rngs, v, [np.sqrt(lam)[None]] * n_runs, [evecs.T] * n_runs))
+    results = [None] * len(searches)
+    for (n_runs, _, _), group in groups.items():
+        indices, rngs, *stacks = zip(*group)
+        v, sqrt_lam, basis_t = (np.concatenate(stack) for stack in stacks)
+        current, at_checkpoint = _descend(v, sqrt_lam, basis_t, spec, dim_a, dim_b, sum(rngs, []), iterations)
+        for index, first in zip(indices, range(0, len(v), n_runs)):
+            best = first + int(np.argmin(current[first:first + n_runs]))
+            results[index] = (v[best], current[best], at_checkpoint[best] - current[best] <= 1e-9, n_runs)
+    return results
+
+
 def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec,
                   m=None, restarts: int = 8, iterations: int = 600, seed=0,
                   initial_isometries=None) -> RoofEstimate:
@@ -192,46 +232,27 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
     and the remaining restarts are random.  Restarts use derived seeds, so the
     best value is non-increasing in the restart count for a fixed master seed.
     Supplied isometries must have orthonormal columns, one per eigenvector of
-    rho, and at most m rows; restart and iteration counts must be non-negative.
+    rho, and at most m rows; m (when given) and the restart and iteration
+    counts must be integers, the counts non-negative.
 
-    All restarts advance in lockstep through ``_descend``, each drawing its
-    proposals in blocks from its own generator, so the result is identical to
-    running them one after another.  Each restart caches its members' terms
-    p_j g_j; a step re-evaluates only the two members its rotation changed,
-    with one stacked SVD and one ``spec.g`` call across all restarts, and sums
-    the terms left to right in member order.  The best run's sum is the
-    reported value.
+    ``_search`` runs the restarts in lockstep through ``_descend``, each on
+    its own generator, so the result is identical to running them one after
+    another.  A step re-evaluates only the two members its rotation changed,
+    and the best run's left-to-right sum of member terms is the reported value.
     """
     if rho.dim != dim_a * dim_b:
         raise ValueError(f"rho has dimension {rho.dim}, expected {dim_a * dim_b}")
+    for name, count in (("m", m), ("restarts", restarts), ("iterations", iterations)):
+        if not (isinstance(count, (int, np.integer)) or name == "m" and count is None):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     lam, evecs = _eigen_decomposition(rho)
-    rank = lam.size
-    m = rank + 2 if m is None else int(m)
-    if m < rank:
-        raise ValueError(f"ensemble size m={m} is below the rank {rank}")
+    m = lam.size + 2 if m is None else int(m)
+    if m < lam.size:
+        raise ValueError(f"ensemble size m={m} is below the rank {lam.size}")
     if restarts < 0 or iterations < 0:
         raise ValueError(f"restart and iteration counts must be non-negative, got "
                          f"restarts={restarts!r}, iterations={iterations!r}")
-
-    sqrt_lam = np.sqrt(lam)
-    basis_t = evecs.T
-    master = ensure_rng(seed)
-    starts = [np.eye(m, rank, dtype=complex)]
-    starts += [_checked_isometry(v0, rank, m) for v0 in initial_isometries or ()]
-    n_runs = max(restarts, len(starts), 1)
-    children = np.random.SeedSequence(master.integers(2**63)).spawn(n_runs)
-    rngs = [np.random.default_rng(child) for child in children]
-    starts += [_haar_isometry(m, rank, rng) for rng in rngs[len(starts):]]
-    # Shorter starts are padded with zero rows, which are members of weight 0.
-    v = np.zeros((n_runs, m, rank), dtype=complex)
-    for run, start in enumerate(starts):
-        v[run, : start.shape[0]] = start
-    current, at_checkpoint = _descend(v, sqrt_lam, basis_t, spec, dim_a, dim_b, rngs, iterations)
-
-    best = int(np.argmin(current))  # ties go to the lowest-index restart
-    members = _members(v[best], sqrt_lam, basis_t, dim_a, dim_b)
-    # Settled when the winning restart gained nothing measurable over its
-    # final fifth of iterations.
-    converged = at_checkpoint[best] - current[best] <= 1e-9
-    return RoofEstimate(value=float(current[best]), ensemble=tuple(members), restarts=n_runs,
-                        converged=bool(converged), m=m)
+    [(v, value, converged, n_runs)] = _search([(lam, evecs, m, restarts, seed, initial_isometries)],
+                                              spec, dim_a, dim_b, iterations)
+    return RoofEstimate(value=float(value), ensemble=tuple(_members(v, np.sqrt(lam), evecs.T, dim_a, dim_b)),
+                        restarts=n_runs, converged=bool(converged), m=m)

@@ -519,6 +519,27 @@ class TestBlockedC2:
         with pytest.raises(ValueError, match="positive"):
             check_c2(E1, trials=1, dims=dims)
 
+    def test_each_trial_is_eigendecomposed_once(self):
+        # one decomposition gives the trial's own isometry and its roof searches
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            check_c2(E1, trials=5, dims=(2, 2))
+        assert eigh.call_count == 5
+
+    @pytest.mark.parametrize("trials", [0, 2])
+    @pytest.mark.parametrize("ensemble_range", [(0, 0), (0, 2), (3, 2), (1.5, 2), (1, 2.0), ("1", 2),
+                                                (2,), (1, 2, 3), 3])
+    def test_bad_ensemble_range_rejected(self, trials, ensemble_range):
+        # before any draw, so even zero trials raise
+        with mock.patch.object(np.random, "default_rng") as draws:
+            with pytest.raises(ValueError, match=r"ensemble range must be two integers 1 <= lo <= hi"):
+                check_c2(E1, trials=trials, ensemble_range=ensemble_range)
+        draws.assert_not_called()
+
+    def test_numpy_integer_ensemble_range(self):
+        report = check_c2(E1, trials=2, dims=(2, 2), seed=4, ensemble_range=(np.int64(1), np.int32(3)))
+        assert record_bits(report.records) == record_bits(reference_c2([E1], 2, (2, 2), 4, (1, 3)))
+
+
 class TestCheckC2:
     def test_single_member_ensembles_touch_equality(self):
         report = check_c2(E1, trials=10, dims=(2, 2), seed=3, ensemble_range=(1, 1))

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -62,6 +63,30 @@ def isotropic_eof(f: float, d: int) -> float:
     gamma = (np.sqrt(f) + np.sqrt((d - 1) * (1.0 - f))) ** 2 / d
     h2 = 0.0 if gamma >= 1.0 else -gamma * np.log2(gamma) - (1.0 - gamma) * np.log2(1.0 - gamma)
     return float(h2 + (1.0 - gamma) * np.log2(d - 1))
+
+
+def isotropic_eof_hull(f, d: int, samples: int = 200_001) -> np.ndarray:
+    """The isotropic EoF co(R)(F) at the points ``f``, for any d, as a numerical lower convex hull.
+
+    R is sampled on ``samples`` even points of [1/d, 1] and on the points
+    ``f`` themselves, so where the hull touches R it is R there exactly.  The
+    hull is Andrew's monotone chain, kept strictly convex from below.
+    """
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    x = np.union1d(np.linspace(1.0 / d, 1.0, samples), f[f > 1.0 / d])
+    gamma = np.minimum((np.sqrt(x) + np.sqrt((d - 1) * (1.0 - x))) ** 2 / d, 1.0)
+    p = np.stack([gamma, 1.0 - gamma])
+    y = -np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=0)
+    y += (1.0 - gamma) * np.log2(d - 1)
+    hull = []
+    for xb, yb in zip(x.tolist(), y.tolist()):
+        # drop the last vertex while it is not strictly below the chord to the new point
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (yb - hull[-2][1])
+                                  - (hull[-1][1] - hull[-2][1]) * (xb - hull[-2][0])) <= 0.0:
+            hull.pop()
+        hull.append((xb, yb))
+    hx, hy = np.array(hull).T
+    return np.where(f <= 1.0 / d, 0.0, np.interp(f, hx, hy))
 
 
 def isotropic_state(f: float, d: int) -> DensityMatrix:
@@ -222,6 +247,19 @@ class TestIsotropicOracle:
         est = roof_estimate(isotropic_state(f, 3), 3, 3, E1, seed=1)
         assert est.value >= isotropic_eof(f, 3) - 1e-9
 
+    def test_hull_is_the_qutrit_closed_form(self):
+        # the closed form is R up to F = 8/9, then the line; the hull is built knowing neither
+        f = np.r_[np.linspace(0.0, 1.0, 201), 8.0 / 9.0, 0.5, 0.7, 0.85, 0.95]
+        want = np.array([isotropic_eof(x, 3) for x in f])
+        assert np.max(np.abs(isotropic_eof_hull(f, 3) - want)) <= 1e-12
+
+    def test_ququart_estimate_never_below_the_hull(self):
+        # no closed form is proven at d = 4; default estimates sit 0.72, 0.35
+        # and 0.10 bits above the hull (ROADMAP item 2)
+        f = np.array([0.4, 0.7, 0.9])
+        values = [roof_estimate(isotropic_state(x, 4), 4, 4, E1, seed=1).value for x in f]
+        assert np.min(values - isotropic_eof_hull(f, 4)) >= -1e-9
+
 
 class TestWernerOracle:
     def test_closed_form_is_convex(self):
@@ -323,6 +361,38 @@ class TestDrawSchedule:
         assert ests[0].converged and ests[0].value == pytest.approx(E1(psi), abs=1e-12)
 
 
+def search_bits(result):
+    """A ``roof._search`` result as exact hex strings: isometry, sum, converged, run count."""
+    v, value, converged, n_runs = result
+    return v.tobytes().hex(), value.hex(), bool(converged), n_runs
+
+
+class TestSearch:
+    """Searches handed to one ``roof._search`` share stacks, yet each gets the result it gets alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3)]),
+           plan=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1), st.integers(0, 3), st.integers(0, 2)),
+                         min_size=2, max_size=6),
+           iterations=st.sampled_from([0, 7, 40]),
+           name=st.sampled_from(["e0", "e1", "e_alpha:0.5", "trace_fn:linear", "control:sum_squares"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_search_as_if_alone(self, dims, plan, iterations, name, seed):
+        # per search: rank, m - rank, restarts and supplied starts, some shorter than m
+        rng = np.random.default_rng(seed)
+        searches = []
+        for rank, extra, restarts, supplied in plan:
+            rho = random_density_matrix(dims[0] * dims[1], rng, rank=rank)
+            lam, evecs = roof._eigen_decomposition(rho)
+            m = lam.size + extra
+            starts = [_haar_isometry(int(rng.integers(lam.size, m + 1)), lam.size, rng) for _ in range(supplied)]
+            searches.append((lam, evecs, m, restarts, int(rng.integers(2**32)), starts))
+        spec = monotone_by_name(name)
+        together = roof._search(searches, spec, *dims, iterations)
+        alone = [roof._search([search], spec, *dims, iterations)[0] for search in searches]
+        assert [search_bits(r) for r in together] == [search_bits(r) for r in alone]
+
+
 class TestObjectiveIsTheReportedValue:
     """The terms the search minimizes sum to the value reported for the same isometry."""
 
@@ -417,6 +487,19 @@ class TestRoofEdgeCases:
     def test_nan_isometry_rejected(self):
         with pytest.raises(ValueError, match="not orthonormal"):
             ensemble_from_isometry(DensityMatrix(4, np.eye(4) / 4), np.full((4, 4), np.nan), 2, 2)
+
+    @pytest.mark.parametrize("name, count", [("m", 4.7), ("m", "5"), ("m", 4.0), ("restarts", 2.5),
+                                             ("restarts", None), ("iterations", float("inf")),
+                                             ("iterations", np.float64(10))])
+    def test_non_integral_counts_rejected(self, name, count):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {count!r}")):
+            roof_estimate(benchmark_state(), 2, 2, E1, **{"restarts": 1, "iterations": 0, name: count})
+
+    def test_numpy_integer_counts(self):
+        want = roof_estimate(benchmark_state(), 2, 2, E1, m=4, restarts=2, iterations=30, seed=1)
+        got = roof_estimate(benchmark_state(), 2, 2, E1, m=np.int64(4), restarts=np.int32(2),
+                            iterations=np.uint8(30), seed=1)
+        assert estimate_bits(got) == estimate_bits(want) and got.m == 4 and got.restarts == 2
 
     def test_zero_iterations_returns_best_start(self, rng):
         rho = random_density_matrix(6, rng, rank=3)
