@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monotones import e_alpha
-from .states import SchmidtSpectrum, _within
+from .states import SchmidtSpectrum, _count, _within
 
 DENOMINATOR_FLOOR = 1e-12
 
@@ -89,8 +89,7 @@ def bound_multicopy(source: SchmidtSpectrum, target: SchmidtSpectrum, n_copies: 
     By additivity E_alpha(psi tensor N) = N E_alpha(psi), so the ratio, and
     with it the bound, is independent of N; no N-fold tensor is built.
     """
-    if int(n_copies) < 1:
-        raise ValueError(f"n_copies must be a positive integer, got {n_copies!r}")
+    _count(n_copies, "n_copies", 1)
     return bound_single(source, target, alpha_grid)
 
 
@@ -103,6 +102,4 @@ def bound_average_yield(source: SchmidtSpectrum, target: SchmidtSpectrum, n_copi
     the smallest grid ratio gives the tightest family bound.  Unlike the
     probability bounds this is a count, so it is not clipped at one.
     """
-    if int(n_copies) < 1:
-        raise ValueError(f"n_copies must be a positive integer, got {n_copies!r}")
-    return float(n_copies) * float(_ratio_curve(source, target, alpha_grid)[1].min())
+    return _count(n_copies, "n_copies", 1) * float(_ratio_curve(source, target, alpha_grid)[1].min())

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .monotones import _NEAR_ONE, ALPHA_ONE_TOL, renyi_entropy
+from .states import _count
 
 LN2 = math.log(2.0)
 
@@ -99,11 +100,12 @@ def log_binom(n: int, l: int) -> float:
     """Natural log of the binomial coefficient C(n, l), via log-gamma."""
     if not 0 <= l <= n:  # NaN fails it
         raise ValueError(f"binomial index out of range: C({n}, {l})")
-    return float(_log_binomials(n, l))
+    return float(_log_binomials(_count(n, "n"), _count(l, "l")))
 
 
 def truncation_index(x: float, n_tilde: int) -> int:
     """Largest retained level r = floor(x * N), clamped into [0, N]."""
+    n_tilde = _count(n_tilde, "copy count N")
     return int(min(max(math.floor(x * n_tilde), 0), n_tilde))
 
 
@@ -141,6 +143,7 @@ def tail_mass(target: DilutionTarget, n_tilde: int, r: int) -> float:
     """T = sum_{l<=r} C(N,l) a^(N-l) b^l, in (0, 1], by log-sum-exp."""
     if not 0 <= r <= n_tilde:
         raise ValueError(f"level cutoff out of range: r={r}, N={n_tilde}")
+    n_tilde, r = _count(n_tilde, "copy count N"), _count(r, "level cutoff r")
     _, log_c, log_p = _level_table(target, n_tilde, r)
     return float(min(math.exp(_prefix(log_c + log_p, r)), 1.0))
 
@@ -149,6 +152,7 @@ def m_of_r(n_tilde: int, r: int) -> float:
     """Base-2 log of the retained coefficient count: the teleportation cost in ebits."""
     if not 0 <= r <= n_tilde:
         raise ValueError(f"level cutoff out of range: r={r}, N={n_tilde}")
+    n_tilde, r = _count(n_tilde, "copy count N"), _count(r, "level cutoff r")
     return float(_prefix(_log_binomials(n_tilde, np.arange(r + 1)), r) / LN2)
 
 
@@ -181,8 +185,7 @@ def x_star_finite(target: DilutionTarget, n_tilde: int) -> float:
     One running log-sum-exp over all N + 1 binomials gives m_of_r for every r;
     it is non-decreasing, so a binary search on it finds the exact crossing.
     """
-    if n_tilde < 1:
-        raise ValueError(f"copy count N must be at least 1, got {n_tilde!r}")
+    n_tilde = _count(n_tilde, "copy count N", 1)
     goal = n_tilde * target.entanglement(1.0)
     m_bits = np.logaddexp.accumulate(_log_binomials(n_tilde, np.arange(n_tilde + 1))) / LN2
     # rounding may keep m_of_r(N) = N a hair below a goal close to N
@@ -204,8 +207,7 @@ def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,
     with L the mean retained level, gives exactly 0 at r = 0 and avoids the
     order-N cancellation of ln T - sum_l C(N,l) p_l ln p_l / T.
     """
-    if n_tilde < 1:
-        raise ValueError(f"copy count N must be at least 1, got {n_tilde!r}")
+    n_tilde = _count(n_tilde, "copy count N", 1)
     xs = np.asarray(x_samples, dtype=float)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):  # written so that NaN fails it
         raise ValueError("x samples must lie in [0, 1]")
@@ -272,11 +274,11 @@ def discontinuity_report(target: DilutionTarget, n_tilde_schedule, alpha: float,
     x = min(x_star(target) + delta, 1.0)
     reference = target.entanglement(alpha)
     rows = []
-    for n_tilde in map(int, n_tilde_schedule):
+    for n_tilde in n_tilde_schedule:
         curve = entropy_curves(target, n_tilde, [x], alphas=[alpha])
         e_a = float(curve.e_alpha_per_copy[alpha][0])
         rows.append(DiscontinuityRow(
-            n_tilde=n_tilde, x=x, fidelity_paper=float(curve.fidelity_paper[0]),
+            n_tilde=curve.n_tilde, x=x, fidelity_paper=float(curve.fidelity_paper[0]),
             fidelity_normalized=float(curve.fidelity_normalized[0]),
             e1=float(curve.e1_per_copy[0]), e_alpha=e_a, gap=reference - e_a,
         ))

@@ -17,12 +17,14 @@ from functools import cached_property, partial
 import numpy as np
 
 from .monotones import MonotoneSpec
+from .roof import _eigen_decomposition, _ensemble_isometry, _search
 from .states import (
     OUTCOME_FLOOR,
     DensityMatrix,
     OutcomeEnsemble,
     PureState,
     _complex_normal,
+    _count,
     _first_off_one,
     _kraus_outcome,
     _matrix_of,
@@ -211,10 +213,10 @@ def dismiss_part(state, dims, axis: int) -> DensityMatrix:
     the factor to trace out.
     """
     rho = _matrix_of(state)
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != rho.shape[0]:
+    dims = tuple(_count(d, "factor dimension", 1) for d in dims)
+    if np.prod(dims) != rho.shape[0]:
         raise ValueError(f"unknown factor split: prod{dims} != matrix dimension {rho.shape[0]}")
-    if not 0 <= axis < len(dims):
+    if not _count(axis, "axis") < len(dims):
         raise ValueError(f"unknown factor: axis {axis} outside the {len(dims)}-factor split")
     return _trace_out(rho, dims, axis)
 
@@ -403,14 +405,9 @@ def _screen(condition, block, monotone, trials, dims, seed) -> MonotonicityRepor
     trial count changes the first trials.  A non-finite monotone value
     raises, naming the monotone and the trial.
     """
-    if not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trial count must be an integer, got {trials!r}")
-    if trials < 0:
-        raise ValueError(f"trial count must be non-negative, got {trials!r}")
+    trials = _count(trials, "trial count")
     specs = [monotone] if isinstance(monotone, MonotoneSpec) else list(monotone)
-    dims = (int(dims[0]), int(dims[1]))
-    if dims[0] < 1 or dims[1] < 1:
-        raise ValueError("local dimensions must be positive")
+    dims = (_count(dims[0], "dim_a", 1), _count(dims[1], "dim_b", 1))
     before, after = np.empty((trials, len(specs))), np.empty((trials, len(specs)))
     streams = np.random.SeedSequence(seed)
     for first in range(0, trials, C1_BLOCK):
@@ -530,8 +527,6 @@ def _c2_block(children, dims, specs, ensemble_range):
     covers the block, so every record is bitwise the one the per-trial
     ``roof_estimate(..., seed=rng, restarts=2)`` gives.
     """
-    from .roof import _eigen_decomposition, _ensemble_isometry, _search
-
     lo, hi = ensemble_range
     before = np.empty((len(children), len(specs)))
     searches = []  # per trial: (lam, evecs, m, restarts, generator, [own isometry])

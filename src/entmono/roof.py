@@ -25,7 +25,7 @@ import numpy as np
 
 from .monotones import MonotoneSpec
 from .states import (OUTCOME_FLOOR, SPECTRUM_CLAMP, DensityMatrix, PureState, _haar_isometry, _mixture,
-                     _phase_fixed_qr, _schmidt_values, _sq_norms, _within, ensure_rng)
+                     _count, _phase_fixed_qr, _schmidt_values, _sq_norms, _within, ensure_rng)
 
 STEP0, STEP_MIN = 0.6, 0.01  # the proposal step size decays exponentially from STEP0 to STEP_MIN
 ROOF_DRAW_BLOCK = 256  # each run draws its proposals for this many steps at a time
@@ -240,18 +240,14 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
     another.  A step re-evaluates only the two members its rotation changed,
     and the best run's left-to-right sum of member terms is the reported value.
     """
+    dim_a, dim_b = _count(dim_a, "dim_a", 1), _count(dim_b, "dim_b", 1)
     if rho.dim != dim_a * dim_b:
         raise ValueError(f"rho has dimension {rho.dim}, expected {dim_a * dim_b}")
-    for name, count in (("m", m), ("restarts", restarts), ("iterations", iterations)):
-        if not (isinstance(count, (int, np.integer)) or name == "m" and count is None):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
+    restarts, iterations = _count(restarts, "restarts"), _count(iterations, "iterations")
     lam, evecs = _eigen_decomposition(rho)
-    m = lam.size + 2 if m is None else int(m)
+    m = lam.size + 2 if m is None else _count(m, "m")
     if m < lam.size:
         raise ValueError(f"ensemble size m={m} is below the rank {lam.size}")
-    if restarts < 0 or iterations < 0:
-        raise ValueError(f"restart and iteration counts must be non-negative, got "
-                         f"restarts={restarts!r}, iterations={iterations!r}")
     [(v, value, converged, n_runs)] = _search([(lam, evecs, m, restarts, seed, initial_isometries)],
                                               spec, dim_a, dim_b, iterations)
     return RoofEstimate(value=float(value), ensemble=tuple(_members(v, np.sqrt(lam), evecs.T, dim_a, dim_b)),

@@ -27,6 +27,15 @@ def ensure_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _count(value, name, low=0) -> int:
+    """The count or dimension argument ``name`` as an int: ``int`` or ``np.integer``, not bool, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be {'positive' if low else 'non-negative'}, got {value!r}")
+    return int(value)
+
+
 def _first_off_one(values, tol):
     """The first of ``values`` (flattened) farther than ``tol`` from 1, NaN included, or None."""
     values = np.reshape(values, -1)
@@ -86,8 +95,8 @@ class PureState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise ValueError("local dimensions must be positive")
+        for name in ("dim_a", "dim_b"):
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
         if amps.size != self.dim_a * self.dim_b:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected "
@@ -125,6 +134,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "dim", _count(self.dim, "dim", 1))
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"entries have shape {m.shape}, expected ({self.dim}, {self.dim})")
         if not np.all(np.isfinite(m)):
@@ -205,7 +215,7 @@ def _to_matrix(state, dim_a, dim_b):
     elif dim_a is None or dim_b is None:
         raise ValueError("dim_a and dim_b are required for matrix input")
     else:
-        dims = dim_a, dim_b
+        dims = _count(dim_a, "dim_a", 1), _count(dim_b, "dim_b", 1)
     m = _matrix_of(state)
     d = dims[0] * dims[1]
     if m.shape != (d, d):
@@ -360,6 +370,7 @@ def random_density_matrix(dim: int, rng=None, rank=None) -> DensityMatrix:
     rank = dim if rank is None else rank
     if not rank >= 1:
         raise ValueError(f"rank must be at least 1, got {rank!r}")
+    rank = _count(rank, "rank", 1)
     g = _complex_normal(ensure_rng(rng), (dim, rank))
     m = g @ g.conj().T
     return DensityMatrix(dim, m / np.trace(m))
