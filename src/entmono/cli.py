@@ -3,8 +3,10 @@
 Numeric CSV cells carry 12 significant digits; human-readable summaries are
 printed at 4 digits.  The default seed comes from the ENTMONO_SEED environment
 variable (0 when unset).  Exit codes: 0 success, 1 standard output closed by
-its reader (``entmono bound A B | head -1``), 2 parse error, 3 precondition
-violation, 4 property-check failure.
+its reader (``entmono bound A B | head -1``), 2 parse error or an input or
+output file that cannot be read or written, 3 precondition violation, 4
+property-check failure.  A command writes its files before it prints, and a
+failure prints no result.
 """
 
 from __future__ import annotations
@@ -42,16 +44,24 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _write_csv(path, header, rows) -> None:
+def _csv(path, header, rows) -> str:
+    """The CSV text if ``path`` is '-' (standard output), else '' once it is written to ``path``.
+
+    Commands write their files before they print anything, so an unwritable
+    path ends a command before any result reaches standard output.
+    """
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
     text = "\n".join(lines) + "\n"
     if path == "-":
-        sys.stdout.write(text)
-    else:
+        return text
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise StateFileError(f"{path}: cannot write file: {exc}") from exc
+    return ""
 
 
 def _float(text: str) -> float:
@@ -87,12 +97,12 @@ def _spectrum_from_file(path) -> SchmidtSpectrum:
 def cmd_schmidt(args) -> int:
     spectrum = _spectrum_from_file(args.state)
     alphas = _parse_alphas(args.alphas)
-    print("schmidt spectrum:", " ".join(f"{v:.4f}" for v in spectrum.values))
     values = e_alpha(spectrum, alphas)
+    csv = _csv(args.csv, ["alpha", "e_alpha"], zip(alphas, values)) if args.csv else ""
+    print("schmidt spectrum:", " ".join(f"{v:.4f}" for v in spectrum.values))
     for alpha, value in zip(alphas, values):
         print(f"E_{alpha:g} = {value:.4f}")
-    if args.csv:
-        _write_csv(args.csv, ["alpha", "e_alpha"], zip(alphas, values))
+    sys.stdout.write(csv)
     return EXIT_OK
 
 
@@ -102,14 +112,14 @@ def cmd_bound(args) -> int:
     grid = np.linspace(0.0, 1.0, args.grid)
     bound = bound_single(source, target, grid)
     equivalent = locally_equivalent(source, target, tol=args.equiv_tol)
+    avg = bound_average_yield(source, target, args.copies, grid)
+    csv = _csv(args.csv, ["alpha", "ratio"], bound.per_alpha_curve) if args.csv else ""
     print(f"locally equivalent (tol {args.equiv_tol:g}): {'yes' if equivalent else 'no'}")
     print(f"conversion bound: P <= {bound.value:.4f} (minimizing alpha {bound.minimizing_alpha:g})")
     if args.copies > 1:
         print(f"same bound holds for {args.copies} copies -> {args.copies} copies")
-    avg = bound_average_yield(source, target, args.copies, grid)
     print(f"average-yield bound from {args.copies} copies: <N> <= {avg:.4f}")
-    if args.csv:
-        _write_csv(args.csv, ["alpha", "ratio"], bound.per_alpha_curve)
+    sys.stdout.write(csv)
     return EXIT_OK
 
 
@@ -118,11 +128,7 @@ def cmd_dilution(args) -> int:
     alphas = _parse_alphas(args.alphas)
     xs = np.linspace(0.0, 1.0, args.samples)
     curve = entropy_curves(target, args.n, xs, alphas=alphas)
-    print(
-        f"theta={args.theta:.4f} (a={target.a:.4f}, b={target.b:.4f}), N={args.n}, "
-        f"x*={curve.x_star:.4f}, finite-N x*={x_star_finite(target, args.n):.4f}"
-    )
-    print(f"E_1 per copy of the target: {target.entanglement(1.0):.4f}")
+    step = x_star_finite(target, args.n)
     header = ["x", "r", "M_of_r", "T", "F_paper", "F_normalized", "e1"]
     # an order that ``:g`` would round is named in full, so distinct orders get distinct columns
     header += [f"e_alpha:{alpha:g}" if float(f"{alpha:g}") == alpha else f"e_alpha:{alpha!r}"
@@ -130,7 +136,13 @@ def cmd_dilution(args) -> int:
     columns = [curve.x_samples, curve.r_values, curve.m_of_r, curve.tail, curve.fidelity_paper,
                curve.fidelity_normalized, curve.e1_per_copy]
     columns += [curve.e_alpha_per_copy[alpha] for alpha in alphas]
-    _write_csv(args.csv or "-", header, zip(*columns))
+    csv = _csv(args.csv or "-", header, zip(*columns))
+    print(
+        f"theta={args.theta:.4f} (a={target.a:.4f}, b={target.b:.4f}), N={args.n}, "
+        f"x*={curve.x_star:.4f}, finite-N x*={step:.4f}"
+    )
+    print(f"E_1 per copy of the target: {target.entanglement(1.0):.4f}")
+    sys.stdout.write(csv)
     return EXIT_OK
 
 
@@ -144,12 +156,12 @@ def cmd_check(args) -> int:
         # each c2 trial runs a roof search, so the default is far smaller
         trials = 50 if args.trials is None else args.trials
         report = check_c2(spec, trials=trials, dims=dims, seed=args.seed)
+    rows = [(rec.trial, rec.monotone, rec.before, rec.after_avg, rec.margin) for rec in report.records]
+    header = ["trial", "monotone", "mu_before", "mu_after_avg", "margin"]
+    csv = _csv(args.csv, header, rows) if args.csv else ""
     for line in report.summary_lines():
         print(line)
-    if args.csv:
-        rows = [(rec.trial, rec.monotone, rec.before, rec.after_avg, rec.margin)
-                for rec in report.records]
-        _write_csv(args.csv, ["trial", "monotone", "mu_before", "mu_after_avg", "margin"], rows)
+    sys.stdout.write(csv)
     return EXIT_OK if not report.violations else EXIT_PROPERTY
 
 
@@ -160,6 +172,8 @@ def cmd_roof(args) -> int:
         rho, dim_a, dim_b, spec,
         m=args.m, restarts=args.restarts, iterations=args.iterations, seed=args.seed,
     )
+    if args.certificate:
+        save_certificate(args.certificate, estimate, spec.name)
     print(f"roof upper bound ({spec.name}): {estimate.value:.4f}")
     print(
         f"ensemble size {len(estimate.ensemble)} (cap m={estimate.m}), "
@@ -167,7 +181,6 @@ def cmd_roof(args) -> int:
     )
     print("note: the value is an upper bound on the convex roof, not a certified minimum")
     if args.certificate:
-        save_certificate(args.certificate, estimate, spec.name)
         print(f"certificate written to {args.certificate}")
     return EXIT_OK
 

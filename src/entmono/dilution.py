@@ -8,12 +8,29 @@ renormalizing yields the state whose fidelity with the full power and whose
 per-copy order-alpha entropies this module evaluates.
 
 Every sum over levels runs in the natural-log domain (binomials at N ~ 10^6
-overflow any fixed-width float) as a running log-sum-exp over one table of
-level log-weights, read at each cutoff (orders just below alpha = 1 take one
-pass per cutoff instead); conversion to base-2 happens only at output.  The fidelity is reported in two conventions that agree on all
-step-function conclusions: the squared tail mass T^2 and the normalized-state
-overlap T (see ``fidelity_curve``).  Entropies use the standard non-negative
-sign convention.
+overflow any fixed-width float), and conversion to base-2 happens only at
+output.  A sum reads only the levels that count.  Its log-terms are concave in
+l: ln C(N, l) + s l, plus ln l for the mean level, plus ln expm1(gap Delta_l)
+for orders just below alpha = 1.  For a cutoff r, the sum's window is a run of
+levels [lo, hi] inside [0, r] that holds the largest term on [0, r], and every
+edge other than 0 and r must lie at least ``DROP`` nats below that peak; a
+window whose edge does not is widened until it does.  By concavity the terms
+beyond such an edge fall by at least DROP / K nats per level, K the edge's
+distance from the peak, so the levels dropped on each side add up to at most
+e^-DROP K / DROP of the peak term: the sum loses at most 2 e^-DROP K / DROP of
+itself, under 2^-53 for every K below 10^7.
+
+The level table is the union of all windows, O(S sqrt N) levels for S cutoffs
+and never more than N + 1, and ln C(N, l) and ln p_l are computed only there,
+each level exactly as a full table would have it.  Each sum is one running
+log-sum-exp over the table, read at the last table level at or below r: every
+level it adds to the window is a true term of the sum, so where the table
+covers [0, r] the value is the full table's, bit for bit.  Orders just below
+alpha = 1 take one pass per cutoff over its window.
+
+The fidelity is reported in two conventions that agree on all step-function
+conclusions: the squared tail mass T^2 and the normalized-state overlap T (see
+``fidelity_curve``).  Entropies use the standard non-negative sign convention.
 """
 
 from __future__ import annotations
@@ -28,6 +45,7 @@ from .monotones import _NEAR_ONE, ALPHA_ONE_TOL, renyi_entropy
 from .states import _count
 
 LN2 = math.log(2.0)
+DROP = 50.0  # nats below a sum's peak at which its window may end
 
 
 @dataclass(frozen=True)
@@ -96,11 +114,31 @@ def _log_binomials(n_tilde, l):
     return gammaln(n_tilde + 1) - gammaln(l + 1) - gammaln(n_tilde - l + 1)
 
 
+def _log_p(target: DilutionTarget, n_tilde, l):
+    """ln p_l = (N - l) ln a + l ln b, elementwise over the level index l."""
+    return (n_tilde - l) * math.log(target.a) + l * math.log(target.b)
+
+
+def _outside(low, value, high) -> bool:
+    """Whether ``value`` lies outside [low, high] (NaN does); a non-number is left to the count rule."""
+    try:
+        return not low <= value <= high
+    except TypeError:
+        return False
+
+
 def log_binom(n: int, l: int) -> float:
     """Natural log of the binomial coefficient C(n, l), via log-gamma."""
-    if not 0 <= l <= n:  # NaN fails it
+    if _outside(0, l, n):
         raise ValueError(f"binomial index out of range: C({n}, {l})")
     return float(_log_binomials(_count(n, "n"), _count(l, "l")))
+
+
+def _cutoff(n_tilde, r):
+    """N and the level cutoff r as ints with 0 <= r <= N."""
+    if _outside(0, r, n_tilde):
+        raise ValueError(f"level cutoff out of range: r={r}, N={n_tilde}")
+    return _count(n_tilde, "copy count N"), _count(r, "level cutoff r")
 
 
 def truncation_index(x: float, n_tilde: int) -> int:
@@ -109,51 +147,124 @@ def truncation_index(x: float, n_tilde: int) -> int:
     return int(min(max(math.floor(x * n_tilde), 0), n_tilde))
 
 
-def _level_table(target: DilutionTarget, n_tilde: int, r_max: int):
-    """Levels l = 0..r_max with ln C(N, l) and ln p_l = (N-l) ln a + l ln b."""
-    l = np.arange(r_max + 1)
-    return l, _log_binomials(n_tilde, l), (n_tilde - l) * math.log(target.a) + l * math.log(target.b)
+def _first_windows(n_tilde, r_values, s):
+    """A window [lo, hi] per cutoff r for log-terms ln C(N, l) + s l, from a Gaussian estimate.
+
+    Up to a constant the terms are a binomial with success probability
+    p = 1 / (1 + e^-s), so about the mean N p they fall like
+    (l - N p)^2 / (2 N p (1 - p)); each window reaches 1.2 ``DROP`` down that
+    parabola from its peak on [0, r].  ``_level_sums`` checks it.
+    """
+    p = 1.0 / (1.0 + math.exp(-s))
+    mean = n_tilde * p
+    reach = 2.4 * DROP * mean * (1.0 - p)  # squared distance from the mean of a 1.2 DROP fall
+    lo = np.floor(mean - np.sqrt((mean - np.minimum(r_values, mean)) ** 2 + reach)) - 1
+    lo = np.maximum(lo, 0).astype(int)
+    return lo, np.clip(math.ceil(mean + math.sqrt(reach)) + 1, lo, r_values)
 
 
-def _prefix(log_terms: np.ndarray, r):
-    """ln sum_{l<=r} exp(log_terms[l]) at each cutoff r, from one running log-sum-exp."""
-    return np.logaddexp.accumulate(log_terms)[r]
+def _widen(lo, hi, short_lo, short_hi, r_values):
+    """Each short edge moved out by its window's width, staying inside [0, r]."""
+    width = hi - lo + 1
+    return (np.where(short_lo, np.maximum(lo - width, 0), lo),
+            np.where(short_hi, np.minimum(hi + width, r_values), hi))
 
 
-def _near_one_log_sums(log_w: np.ndarray, log_p: np.ndarray, log_t: np.ndarray, r_values, gap: float):
-    """ln sum_{l<=r} C(N,l) lambda_l^alpha at each cutoff r, for 0 < gap = 1 - alpha < ``_NEAR_ONE``.
+def _union(windows):
+    """The sorted distinct levels that the (lo, hi) windows cover."""
+    lo = np.concatenate([w[0] for w in windows])
+    order = np.argsort(lo, kind="stable")
+    lo, reach = lo[order], np.maximum.accumulate(np.concatenate([w[1] for w in windows])[order])
+    start, end = np.ones(lo.size, dtype=bool), np.ones(lo.size, dtype=bool)
+    start[1:] = end[:-1] = lo[1:] > reach[:-1] + 1  # a window that starts a run ends the one before
+    return np.concatenate([np.arange(0), *map(np.arange, lo[start], reach[end] + 1)])
+
+
+def _short_edges(terms, levels, r_values, lo, hi):
+    """Masks of the windows whose low or high edge (not 0 or r) is under DROP below the window's peak."""
+    at_lo, at_hi = np.searchsorted(levels, lo), np.searchsorted(levels, hi)
+    bounds = np.empty(2 * at_lo.size, dtype=int)
+    bounds[0::2], bounds[1::2] = at_lo, at_hi + 1
+    # one max per window; each odd slot runs from one window's stop to the next one's start and is dropped
+    peak = np.maximum.reduceat(np.append(terms, -np.inf), bounds)[::2]
+    return (lo > 0) & (terms[at_lo] > peak - DROP), (hi < r_values) & (terms[at_hi] > peak - DROP)
+
+
+def _near_one_log_sums(log_w, log_p, log_t, levels, r_values, lo, hi, gap: float):
+    """ln sum_{l<=r} C(N,l) lambda_l^alpha over each cutoff's window, for 0 < gap = 1 - alpha < ``_NEAR_ONE``.
 
     With lambda_l = p_l / T_r the sum is 1 + S_r, where
     S_r = sum_l (w_l / T_r) expm1(gap (ln T_r - ln p_l)) has no negative term
     (T_r >= p_l), so S_r is a log-sum-exp and ln(1 + S_r) cancels nothing.
     S_r depends on the cutoff through T_r, so each sample takes its own pass
-    over l <= r: O(r) per sample.
+    over its window: O(window) per sample.  Returns the sums and the
+    short-edge masks of the windows.
     """
-    out = np.empty(len(r_values))
-    for k, (r, lt) in enumerate(zip(r_values, log_t)):
-        x = gap * (lt - log_p[: r + 1])
+    at_lo, at_hi = np.searchsorted(levels, lo), np.searchsorted(levels, hi)
+    out, short = np.empty(len(r_values)), np.zeros((2, len(r_values)), dtype=bool)
+    for k, (i, j, lt) in enumerate(zip(at_lo, at_hi + 1, log_t)):
+        x = gap * (lt - log_p[i:j])
         with np.errstate(divide="ignore"):  # x = 0 where T_r = p_l, as at r = 0: a zero term
-            log_terms = log_w[: r + 1] - lt + x + np.log(-np.expm1(-x))  # ln(expm1(x)) without overflow
+            log_terms = log_w[i:j] - lt + x + np.log(-np.expm1(-x))  # ln(expm1(x)) without overflow
         top = log_terms.max()
+        short[:, k] = log_terms[[0, -1]] > top - DROP
         out[k] = 0.0 if top == -np.inf else np.logaddexp(0.0, top + np.log(np.exp(log_terms - top).sum()))
-    return out
+    return out, (short[0] & (lo > 0), short[1] & (hi < r_values))
+
+
+def _level_sums(target, n_tilde: int, r_values, keys):
+    """ln sum_{l<=r} e^f(l) at each cutoff r for the sums named by ``keys``, and their windows.
+
+    Keys: "m" for ln C(N, l) (``target`` may be None), "t" for
+    ln w_l = ln C(N, l) + ln p_l, "l" for ln(l w_l), and an order alpha in
+    (0, 1) for ln C(N, l) + alpha ln p_l, or, within ``_NEAR_ONE`` of 1, for
+    ``_near_one_log_sums`` (after "t", whose sums it reads).  Every window
+    starts from ``_first_windows`` and is widened until no edge is short.
+    """
+    log_ratio = 0.0 if target is None else math.log(target.b / target.a)
+    slopes = {"m": 0.0, "t": 1.0, "l": 1.0}
+    windows = {key: _first_windows(n_tilde, r_values, slopes.get(key, key) * log_ratio) for key in keys}
+    while True:
+        levels = _union(windows.values())
+        read = np.searchsorted(levels, r_values, side="right") - 1
+        log_c = _log_binomials(n_tilde, levels)
+        if target is not None:
+            log_p = _log_p(target, n_tilde, levels)
+            log_w = log_c + log_p
+        sums, short = {}, {}
+        for key in keys:
+            if key not in slopes and 1.0 - key < _NEAR_ONE:
+                sums[key], short[key] = _near_one_log_sums(log_w, log_p, sums["t"], levels, r_values,
+                                                           *windows[key], 1.0 - key)
+                continue
+            if key == "m":
+                terms = log_c
+            elif key == "t":
+                terms = log_w
+            elif key == "l":
+                with np.errstate(divide="ignore"):
+                    terms = log_w + np.log(levels)  # ln(l w_l), -inf at l = 0
+            else:
+                terms = log_c + key * log_p
+            sums[key] = np.logaddexp.accumulate(terms)[read]
+            short[key] = _short_edges(terms, levels, r_values, *windows[key])
+        if not any(mask.any() for masks in short.values() for mask in masks):
+            return sums, windows
+        windows = {key: _widen(*windows[key], *short[key], r_values) for key in keys}
 
 
 def tail_mass(target: DilutionTarget, n_tilde: int, r: int) -> float:
     """T = sum_{l<=r} C(N,l) a^(N-l) b^l, in (0, 1], by log-sum-exp."""
-    if not 0 <= r <= n_tilde:
-        raise ValueError(f"level cutoff out of range: r={r}, N={n_tilde}")
-    n_tilde, r = _count(n_tilde, "copy count N"), _count(r, "level cutoff r")
-    _, log_c, log_p = _level_table(target, n_tilde, r)
-    return float(min(math.exp(_prefix(log_c + log_p, r)), 1.0))
+    n_tilde, r = _cutoff(n_tilde, r)
+    sums, _ = _level_sums(target, n_tilde, np.array([r]), ["t"])
+    return float(min(math.exp(sums["t"][0]), 1.0))
 
 
 def m_of_r(n_tilde: int, r: int) -> float:
     """Base-2 log of the retained coefficient count: the teleportation cost in ebits."""
-    if not 0 <= r <= n_tilde:
-        raise ValueError(f"level cutoff out of range: r={r}, N={n_tilde}")
-    n_tilde, r = _count(n_tilde, "copy count N"), _count(r, "level cutoff r")
-    return float(_prefix(_log_binomials(n_tilde, np.arange(r + 1)), r) / LN2)
+    n_tilde, r = _cutoff(n_tilde, r)
+    sums, _ = _level_sums(None, n_tilde, np.array([r]), ["m"])
+    return float(sums["m"][0] / LN2)
 
 
 def fidelity_curve(target: DilutionTarget, n_tilde: int, x_samples):
@@ -182,14 +293,30 @@ def x_star(target: DilutionTarget) -> float:
 def x_star_finite(target: DilutionTarget, n_tilde: int) -> float:
     """Finite-N step location: smallest r with m_of_r(r) >= N H(b), as a fraction.
 
-    One running log-sum-exp over all N + 1 binomials gives m_of_r for every r;
-    it is non-decreasing, so a binary search on it finds the exact crossing.
+    Since sum_{l <= bN} C(N, l) <= 2^(N H(b)) for b < 1/2, the crossing lies
+    at or above r0 = floor(b N).  One running log-sum-exp over a window
+    centred on r0 gives m_of_r there.  Its low edge is checked as in
+    ``_level_sums`` against the peak on [0, r0], which bounds the levels it
+    drops for every r >= r0, and its top is pushed up until m_of_r crosses
+    the goal.  m_of_r is non-decreasing, so a binary search on it finds the
+    exact crossing.
     """
     n_tilde = _count(n_tilde, "copy count N", 1)
     goal = n_tilde * target.entanglement(1.0)
-    m_bits = np.logaddexp.accumulate(_log_binomials(n_tilde, np.arange(n_tilde + 1))) / LN2
-    # rounding may keep m_of_r(N) = N a hair below a goal close to N
-    return min(int(np.searchsorted(m_bits, goal)), n_tilde) / n_tilde
+    r0 = truncation_index(target.b, n_tilde)
+    lo = int(_first_windows(n_tilde, np.array([r0]), 0.0)[0][0])
+    hi = min(2 * r0 - lo + 1, n_tilde)
+    while True:
+        log_c = _log_binomials(n_tilde, np.arange(lo, hi + 1))
+        if lo > 0 and log_c[0] > log_c[: r0 - lo + 1].max() - DROP:
+            lo = max(2 * lo - hi - 1, 0)
+            continue
+        m_bits = np.logaddexp.accumulate(log_c) / LN2
+        k = int(np.searchsorted(m_bits, goal))
+        if k < m_bits.size or hi == n_tilde:
+            # rounding may keep m_of_r(N) = N a hair below a goal close to N
+            return min(lo + k, n_tilde) / n_tilde
+        hi = min(2 * hi - lo + 1, n_tilde)
 
 
 def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,)) -> DilutionCurve:
@@ -200,9 +327,11 @@ def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,
     -(1/N) sum C(N,l) lambda_l log2 lambda_l and the order-alpha value is
     log2(sum C(N,l) lambda_l^alpha) / (N (1 - alpha)), or the Shannon value
     within ``ALPHA_ONE_TOL`` of alpha = 1.  Each sum is one running log-sum-exp
-    over the level table, read at every cutoff: O(N + S) per call.  Orders
-    with 1 - alpha below ``monotones._NEAR_ONE`` (the window ``renyi_entropy``
-    uses) instead take ``_near_one_log_sums``, O(r) per sample.  Shifting
+    over the union of its checked windows (see the module docstring), read at
+    every cutoff: O(S sqrt N) per call rather than O(N), and each sum loses at
+    most 2 e^-DROP K / DROP of itself, K its widest window.  Orders with
+    1 - alpha below ``monotones._NEAR_ONE`` (the window ``renyi_entropy``
+    uses) instead take ``_near_one_log_sums``, O(window) per sample.  Shifting
     the Shannon sum about level r, N ln2 e1 = (ln T - ln p_r) - ln(a/b)(r - L),
     with L the mean retained level, gives exactly 0 at r = 0 and avoids the
     order-N cancellation of ln T - sum_l C(N,l) p_l ln p_l / T.
@@ -216,15 +345,14 @@ def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     r_values = np.array([truncation_index(x, n_tilde) for x in xs], dtype=int)
-    l, log_c, log_p = _level_table(target, n_tilde, int(r_values.max(initial=0)))
-    log_w = log_c + log_p
-    log_t = _prefix(log_w, r_values)
+    orders = [alpha for alpha in alphas if alpha != 0.0 and not abs(alpha - 1.0) < ALPHA_ONE_TOL]
+    sums, _ = _level_sums(target, n_tilde, r_values, ["t", "m", "l", *orders])
+    log_t = sums["t"]
     tails = np.minimum(np.exp(log_t), 1.0)
-    ms = _prefix(log_c, r_values) / LN2
-    with np.errstate(divide="ignore"):
-        log_lw = log_w + np.log(l)  # ln(l w_l), -inf at l = 0
-    mean_level = np.exp(_prefix(log_lw, r_values) - log_t)
-    nats = (log_t - log_p[r_values]) - math.log(target.a / target.b) * (r_values - mean_level)
+    ms = sums["m"] / LN2
+    mean_level = np.exp(sums["l"] - log_t)
+    log_p_r = _log_p(target, n_tilde, r_values)
+    nats = (log_t - log_p_r) - math.log(target.a / target.b) * (r_values - mean_level)
     e1 = nats / (LN2 * n_tilde) + 0.0
 
     per_alpha = {}
@@ -234,10 +362,7 @@ def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,
         elif alpha == 0.0:
             per_alpha[alpha] = ms / n_tilde
         else:
-            if 1.0 - alpha < _NEAR_ONE:
-                log_s = _near_one_log_sums(log_w, log_p, log_t, r_values, 1.0 - alpha)
-            else:
-                log_s = _prefix(log_c + alpha * log_p, r_values) - alpha * log_t
+            log_s = sums[alpha] if 1.0 - alpha < _NEAR_ONE else sums[alpha] - alpha * log_t
             per_alpha[alpha] = log_s / (LN2 * n_tilde * (1.0 - alpha)) + 0.0
 
     return DilutionCurve(

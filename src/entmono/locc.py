@@ -116,6 +116,7 @@ def unilocal_unitary(party: str, u) -> UnilocalOperation:
 
 def projective_measurement(party: str, dim: int, projectors=None) -> UnilocalOperation:
     """Complete von Neumann measurement; defaults to the computational basis."""
+    dim = _count(dim, "dim", 1)
     if projectors is None:
         projectors = [np.outer(e := np.eye(dim)[k], e.conj()) for k in range(dim)]
     return UnilocalOperation(party, tuple((str(k), (p,)) for k, p in enumerate(projectors)))
@@ -312,6 +313,7 @@ def random_unilocal_operation(party: str, dim: int, n_outcomes: int, rng=None) -
     outcome operators are read off the ancilla basis.  Completeness holds by
     construction, and every outcome of a pure input stays pure.
     """
+    dim, n_outcomes = _count(dim, "dim", 1), _count(n_outcomes, "n_outcomes", 1)
     kraus = _dilation_kraus(haar_unitary(dim * n_outcomes, ensure_rng(rng)), dim, n_outcomes)
     return UnilocalOperation(party, tuple((str(k), (op,)) for k, op in enumerate(kraus)))
 

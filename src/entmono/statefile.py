@@ -140,9 +140,12 @@ def save_certificate(path, estimate, monotone_name: str, label=None) -> None:
     }
     if label:
         doc["label"] = label
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise StateFileError(f"{path}: cannot write file: {exc}") from exc
 
 
 def load_certificate(path):

@@ -161,6 +161,7 @@ class SchmidtSpectrum:
         object.__setattr__(self, "values", _spectrum_rows(v))
 
     def padded(self, length: int) -> np.ndarray:
+        length = _count(length, "length")
         if length < self.values.size:
             raise ValueError("cannot pad to a shorter length")
         out = np.zeros(length)
@@ -324,6 +325,7 @@ def product_state(vec_a, vec_b) -> PureState:
 
 def maximally_entangled(n: int) -> PureState:
     """sum_i |ii> / sqrt(n) on C^n (x) C^n."""
+    n = _count(n, "n", 1)
     return PureState.from_coefficient_matrix(np.eye(n) / np.sqrt(n))
 
 

@@ -36,9 +36,12 @@ from entmono import (
     fidelity_curve,
     log_binom,
     m_of_r,
+    maximally_entangled,
     partial_trace_a,
     partial_trace_b,
+    projective_measurement,
     random_density_matrix,
+    random_unilocal_operation,
     roof_estimate,
     tail_mass,
     truncation_index,
@@ -118,6 +121,11 @@ ROWS = [
     Row("m_of_r", "level cutoff r", 0, lambda v: m_of_r(10, v), (0, 3, 10), guard=CUTOFF_RANGE),
     Row("log_binom", "n", 0, lambda v: log_binom(v, 2), (2, 10), guard=BINOMIAL_RANGE),
     Row("log_binom", "l", 0, lambda v: log_binom(10, v), (0, 2, 10), guard=BINOMIAL_RANGE),
+    Row("maximally_entangled", "n", 1, maximally_entangled, (1, 3)),
+    Row("projective_measurement", "dim", 1, lambda v: projective_measurement("A", v), (1, 3)),
+    Row("random_unilocal_operation", "dim", 1, lambda v: random_unilocal_operation("A", v, 2, 7), (1, 3)),
+    Row("random_unilocal_operation", "n_outcomes", 1, lambda v: random_unilocal_operation("B", 2, v, 7), (1, 3)),
+    Row("SchmidtSpectrum.padded", "length", 0, SOURCE.padded, (3, 5)),
 ]
 ROW_IDS = [f"{row.entry}-{row.name}" for row in ROWS]
 BAD = [1.5, 2.0, np.float64(3), "3", True, np.bool_(True), math.nan, math.inf, np.array(2), None]
@@ -150,8 +158,8 @@ def raised(row, value):
 @given(value=st.sampled_from(BAD))
 def test_non_integers_rejected_by_name(row, value):
     assume(not (value is None and row.none_is_default))
-    # a range test compares before the rule, and a string or None does not compare (TypeError)
-    assume(not (row.guard and isinstance(value, (str, type(None)))))
+    # the rank's range test compares before the rule, and a string does not compare (TypeError)
+    assume(not (row.entry == "random_density_matrix" and isinstance(value, str)))
     message = raised(row, value)
     assert message == f"{row.name} must be an integer, got {value!r}" or row.guard and message.startswith(row.guard)
 
@@ -281,6 +289,42 @@ class TestCoercedBeforeTheRule:
         # stored dim = 4.0
         with pytest.raises(ValueError, match=re.escape("dim must be an integer, got 4.0")):
             DensityMatrix(4.0, np.eye(4) / 4)
+
+
+class TestComparedBeforeTheRule:
+    """Arguments that ended in a TypeError before the one rule named them."""
+
+    def test_log_binom_string_index(self):
+        # '<=' not supported between instances of 'int' and 'str'
+        with pytest.raises(ValueError, match=re.escape("l must be an integer, got '3'")):
+            log_binom(10, "3")
+
+    @pytest.mark.parametrize("cutoff", ["3", None])
+    def test_tail_mass_cutoff_that_does_not_compare(self, cutoff):
+        with pytest.raises(ValueError, match=re.escape(f"level cutoff r must be an integer, got {cutoff!r}")):
+            tail_mass(TARGET, 10, cutoff)
+
+    @pytest.mark.parametrize("cutoff", ["3", None])
+    def test_m_of_r_cutoff_that_does_not_compare(self, cutoff):
+        with pytest.raises(ValueError, match=re.escape(f"level cutoff r must be an integer, got {cutoff!r}")):
+            m_of_r(10, cutoff)
+
+    def test_projective_measurement_float_dim(self):
+        # 'float' object cannot be interpreted as an integer
+        with pytest.raises(ValueError, match=re.escape("dim must be an integer, got 2.0")):
+            projective_measurement("A", 2.0)
+
+    def test_maximally_entangled_float_n(self):
+        with pytest.raises(ValueError, match=re.escape("n must be an integer, got 2.0")):
+            maximally_entangled(2.0)
+
+    def test_random_unilocal_operation_float_outcomes(self):
+        with pytest.raises(ValueError, match=re.escape("n_outcomes must be an integer, got 2.0")):
+            random_unilocal_operation("A", 2, 2.0)
+
+    def test_padded_float_length(self):
+        with pytest.raises(ValueError, match=re.escape("length must be an integer, got 3.0")):
+            SOURCE.padded(3.0)
 
 
 @pytest.mark.parametrize("argv, message", [

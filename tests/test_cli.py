@@ -156,6 +156,12 @@ class TestBoundCommand:
         assert main(["bound", files["source"], files["target"], "--grid", "0"]) == 3
         assert capsys.readouterr().err == "error: bound undefined: the alpha grid is empty\n"
 
+    def test_copies_below_one_print_no_result(self, files, capsys):
+        # the equivalence and bound lines were printed before the copy count was checked
+        assert main(["bound", files["source"], files["target"], "--copies", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: n_copies must be positive, got 0\n"
+
     def test_point_spectrum_short_of_one_bounds_at_zero(self, files, capsys):
         assert main(["bound", files["ulp"], files["target"]]) == 0
         assert "P <= 0.0000" in capsys.readouterr().out
@@ -296,6 +302,24 @@ class TestRoofCommand:
         path.write_text(json.dumps(doc))
         assert main(["roof", str(path)]) == 2
         assert "dim_b must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["schmidt", "{bell}", "--csv", "{missing}"],
+    ["bound", "{source}", "{target}", "--csv", "{dir}"],
+    ["dilution", "--theta", "0.5", "--n", "10", "--csv", "{missing}"],
+    ["check", "--trials", "3", "--dims", "2x2", "--csv", "{missing}"],
+    ["roof", "{mixed}", "--restarts", "1", "--iterations", "5", "--certificate", "{missing}"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_2_with_one_line(argv, files, tmp_path, capsys):
+    # each printed its results, then a FileNotFoundError or IsADirectoryError traceback, and exited 1
+    paths = dict(files, missing=str(tmp_path / "no_such_dir" / "out"), dir=str(tmp_path))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "cannot write file" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "no_such_dir").exists()
 
 
 class TestGoldenContracts:

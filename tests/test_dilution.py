@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from entmono import (
@@ -18,7 +20,8 @@ from entmono import (
     x_star,
     x_star_finite,
 )
-from entmono.monotones import ALPHA_ONE_TOL
+from entmono import dilution
+from entmono.monotones import _NEAR_ONE, ALPHA_ONE_TOL
 
 PI6 = DilutionTarget(math.pi / 6)
 THETAS = (math.pi / 8, math.pi / 6, math.pi / 5)
@@ -75,6 +78,38 @@ def chunked_reference(theta, n, r, alphas, chunk=1 << 16):
     per_alpha = {alpha: logsumexp(parts) / (n * math.log(2) * (1.0 - alpha))
                  for alpha, parts in renyi.items()}
     return log_t, m_bits, e1, per_alpha
+
+
+def full_table(target, n, r_values, alphas):
+    """Every sum as one running log-sum-exp over all N + 1 levels, read at each cutoff.
+
+    Orders within ``_NEAR_ONE`` of 1 take their log1p form over every level
+    l <= r.  Returns (T, M / N, e1, {alpha: e_alpha}) per cutoff.
+    """
+    l = np.arange(n + 1)
+    log_c = gammaln(n + 1) - gammaln(l + 1) - gammaln(n - l + 1)
+    log_p = (n - l) * math.log(target.a) + l * math.log(target.b)
+    log_w = log_c + log_p
+    log_t = np.logaddexp.accumulate(log_w)[r_values]
+    with np.errstate(divide="ignore"):
+        mean_level = np.exp(np.logaddexp.accumulate(log_w + np.log(l))[r_values] - log_t)
+    nats = (log_t - log_p[r_values]) - math.log(target.a / target.b) * (r_values - mean_level)
+    e1 = nats / (n * math.log(2))
+    per_alpha = {}
+    for alpha in alphas:
+        gap = 1.0 - alpha
+        if gap < _NEAR_ONE:
+            log_s = []
+            for r, lt in zip(r_values, log_t):
+                x = gap * (lt - log_p[: r + 1])
+                with np.errstate(divide="ignore"):
+                    terms = log_w[: r + 1] - lt + x + np.log(-np.expm1(-x))
+                log_s.append(np.logaddexp(0.0, logsumexp(terms)))
+        else:
+            log_s = np.logaddexp.accumulate(log_c + alpha * log_p)[r_values] - alpha * log_t
+        per_alpha[alpha] = np.asarray(log_s) / (n * math.log(2) * gap)
+    m_per_copy = np.logaddexp.accumulate(log_c)[r_values] / (n * math.log(2))
+    return np.minimum(np.exp(log_t), 1.0), m_per_copy, e1, per_alpha
 
 
 def literal_spectrum(theta, n, x):
@@ -375,6 +410,101 @@ class TestMillionCopyDrift:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if m_bits(mid) >= goal else (mid, hi)
         assert x_star_finite(target, self.N) == hi / self.N
+
+
+class TestLevelWindows:
+    """Each sum reads the union of its checked windows, not all N + 1 levels."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.floats(1e-12, math.pi / 4, exclude_max=True),
+        n=st.integers(1, 2000),
+        xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        alpha=st.floats(0.01, 0.99),
+        gap=st.floats(2 * ALPHA_ONE_TOL, 0.99 * _NEAR_ONE),
+    )
+    def test_windows_match_the_full_table(self, theta, n, xs, alpha, gap):
+        target = DilutionTarget(theta)
+        alphas = (alpha, 1.0 - gap)
+        curve = entropy_curves(target, n, xs, alphas=(0.0, *alphas))
+        tail, m_per_copy, e1, per_alpha = full_table(target, n, curve.r_values, alphas)
+        assert np.all(np.abs(curve.tail - tail) <= 1e-14 * tail)
+        assert np.all(np.abs(curve.e_alpha_per_copy[0.0] - m_per_copy) <= 1e-13)
+        assert np.all(np.abs(curve.e1_per_copy - e1) <= 1e-13)
+        for a in alphas:
+            assert np.all(np.abs(curve.e_alpha_per_copy[a] - per_alpha[a]) <= 1e-13), a
+
+    @staticmethod
+    def window_terms(target, n, key, r, lo, hi, log_t):
+        """The log-terms of sum ``key`` at cutoff r over levels lo..hi, as the window rule sees them."""
+        l = np.arange(lo, hi + 1)
+        log_c = gammaln(n + 1) - gammaln(l + 1) - gammaln(n - l + 1)
+        log_p = (n - l) * math.log(target.a) + l * math.log(target.b)
+        with np.errstate(divide="ignore"):
+            if key == "m":
+                return log_c
+            if key == "t":
+                return log_c + log_p
+            if key == "l":
+                return log_c + log_p + np.log(l)
+            if 1.0 - key >= _NEAR_ONE:
+                return log_c + key * log_p
+            x = (1.0 - key) * (log_t - log_p)
+            return log_c + log_p - log_t + x + np.log(-np.expm1(-x))
+
+    @pytest.mark.parametrize("theta", [math.pi / 6, 0.7])
+    def test_a_million_copies_read_under_five_percent(self, theta):
+        n = 10**6
+        target = DilutionTarget(theta)
+        r_values = np.array([truncation_index(x, n) for x in np.linspace(0.0, 1.0, 11)])
+        keys = ["t", "m", "l", 0.25, 0.5, 0.99995]
+        sums, windows = dilution._level_sums(target, n, r_values, keys)
+        levels = dilution._union(windows.values())
+        assert levels.size < 0.05 * (n + 1)
+        for key, (lo, hi) in windows.items():
+            for r, a, b, log_t in zip(r_values, lo, hi, sums["t"]):
+                assert 0 <= a <= b <= r
+                assert np.array_equal(levels[np.searchsorted(levels, a):][: b - a + 1], np.arange(a, b + 1))
+                terms = self.window_terms(target, n, key, r, a, b, log_t)
+                peak = terms.max()
+                assert a == 0 or terms[0] <= peak - dilution.DROP, (key, r)
+                assert b == r or terms[-1] <= peak - dilution.DROP, (key, r)
+
+    def test_short_first_windows_are_widened(self, monkeypatch):
+        # every window starts as the single level r; the check must grow each one to its full reach
+        target, n = DilutionTarget(0.6), 5000
+        xs = np.linspace(0.0, 1.0, 21)
+        alphas = (0.0, 0.3, 0.99995)
+        want = entropy_curves(target, n, xs, alphas=alphas)
+        monkeypatch.setattr(dilution, "_first_windows", lambda n_tilde, r_values, s: (r_values, r_values))
+        got = entropy_curves(target, n, xs, alphas=alphas)
+        tail, m_per_copy, e1, per_alpha = full_table(target, n, got.r_values, alphas[1:])
+        assert np.all(np.abs(got.tail - tail) <= 1e-14 * tail)
+        assert np.all(np.abs(got.e1_per_copy - e1) <= 1e-13)
+        for alpha in alphas:
+            assert np.allclose(got.e_alpha_per_copy[alpha], want.e_alpha_per_copy[alpha],
+                               rtol=1e-14, atol=1e-15)
+        assert np.all(np.abs(got.e_alpha_per_copy[0.3] - per_alpha[0.3]) <= 1e-13)
+        assert got.e_alpha_per_copy[0.99995][0] == 0.0 and got.e1_per_copy[0] == 0.0
+
+    def test_no_samples_give_empty_curves(self):
+        curve = entropy_curves(PI6, 10, [], alphas=(0.0, 0.5, 0.99995, 1.0))
+        assert curve.r_values.size == curve.tail.size == curve.m_of_r.size == curve.e1_per_copy.size == 0
+        assert all(values.size == 0 for values in curve.e_alpha_per_copy.values())
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.3, math.pi / 4 - 1e-6])
+    def test_scalar_entry_points_match_the_full_table(self, theta):
+        target, n = DilutionTarget(theta), 3000
+        l = np.arange(n + 1)
+        log_c = gammaln(n + 1) - gammaln(l + 1) - gammaln(n - l + 1)
+        log_p = (n - l) * math.log(target.a) + l * math.log(target.b)
+        log_t = np.logaddexp.accumulate(log_c + log_p)
+        m_bits = np.logaddexp.accumulate(log_c) / math.log(2)
+        for r in (0, 1, 17, n // 3, n // 2, n - 1, n):
+            assert tail_mass(target, n, r) == pytest.approx(min(math.exp(log_t[r]), 1.0), rel=1e-14, abs=0)
+            assert m_of_r(n, r) == pytest.approx(m_bits[r], rel=1e-15, abs=0)
+        crossing = min(int(np.searchsorted(m_bits, n * target.entanglement(1.0))), n)
+        assert x_star_finite(target, n) == crossing / n
 
 
 class TestDiscontinuityReport:
