@@ -20,13 +20,14 @@ distance from the peak, so the levels dropped on each side add up to at most
 e^-DROP K / DROP of the peak term: the sum loses at most 2 e^-DROP K / DROP of
 itself, under 2^-53 for every K below 10^7.
 
-The level table is the union of all windows, O(S sqrt N) levels for S cutoffs
-and never more than N + 1, and ln C(N, l) and ln p_l are computed only there,
-each level exactly as a full table would have it.  Each sum is one running
-log-sum-exp over the table, read at the last table level at or below r: every
-level it adds to the window is a true term of the sum, so where the table
-covers [0, r] the value is the full table's, bit for bit.  Orders just below
-alpha = 1 take one pass per cutoff over its window.
+Each series (T, the retained count, the mean level, each order) has its own
+level table: the union of that series' windows, O(S sqrt N) levels for S
+cutoffs and never more than N + 1.  ln C(N, l) and ln p_l are computed only
+there, each level exactly as a full table would have it.  The series' sum is
+one running log-sum-exp over its table, read at the last table level at or
+below r: every level it adds to the window is a true term of the sum, so where
+the table covers [0, r] the value is the full table's, bit for bit.  Orders
+just below alpha = 1 take one pass per cutoff over its window.
 
 The fidelity is reported in two conventions that agree on all step-function
 conclusions: the squared tail mass T^2 and the normalized-state overlap T (see
@@ -42,7 +43,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .monotones import _NEAR_ONE, ALPHA_ONE_TOL, renyi_entropy
-from .states import _count
+from .states import _count, _outside
 
 LN2 = math.log(2.0)
 DROP = 50.0  # nats below a sum's peak at which its window may end
@@ -119,14 +120,6 @@ def _log_p(target: DilutionTarget, n_tilde, l):
     return (n_tilde - l) * math.log(target.a) + l * math.log(target.b)
 
 
-def _outside(low, value, high) -> bool:
-    """Whether ``value`` lies outside [low, high] (NaN does); a non-number is left to the count rule."""
-    try:
-        return not low <= value <= high
-    except TypeError:
-        return False
-
-
 def log_binom(n: int, l: int) -> float:
     """Natural log of the binomial coefficient C(n, l), via log-gamma."""
     if _outside(0, l, n):
@@ -152,119 +145,91 @@ def _first_windows(n_tilde, r_values, s):
 
     Up to a constant the terms are a binomial with success probability
     p = 1 / (1 + e^-s), so about the mean N p they fall like
-    (l - N p)^2 / (2 N p (1 - p)); each window reaches 1.2 ``DROP`` down that
-    parabola from its peak on [0, r].  ``_level_sums`` checks it.
+    (l - N p)^2 / (2 N p (1 - p)).  Each window reaches 1.2 ``DROP`` down the
+    widest of these parabolas, that of p = 1/2, from its peak on [0, r], so
+    the central window that holds most of a table has the same size for every
+    target and order.  ``_level_sum`` checks it.
     """
     p = 1.0 / (1.0 + math.exp(-s))
     mean = n_tilde * p
-    reach = 2.4 * DROP * mean * (1.0 - p)  # squared distance from the mean of a 1.2 DROP fall
+    reach = 0.6 * DROP * n_tilde  # squared distance from the mean of a 1.2 DROP fall at p = 1/2
     lo = np.floor(mean - np.sqrt((mean - np.minimum(r_values, mean)) ** 2 + reach)) - 1
     lo = np.maximum(lo, 0).astype(int)
     return lo, np.clip(math.ceil(mean + math.sqrt(reach)) + 1, lo, r_values)
 
 
-def _widen(lo, hi, short_lo, short_hi, r_values):
-    """Each short edge moved out by its window's width, staying inside [0, r]."""
-    width = hi - lo + 1
-    return (np.where(short_lo, np.maximum(lo - width, 0), lo),
-            np.where(short_hi, np.minimum(hi + width, r_values), hi))
-
-
-def _union(windows):
-    """The sorted distinct levels that the (lo, hi) windows cover."""
-    lo = np.concatenate([w[0] for w in windows])
+def _union(lo, hi):
+    """The sorted distinct levels that the windows [lo, hi] cover."""
     order = np.argsort(lo, kind="stable")
-    lo, reach = lo[order], np.maximum.accumulate(np.concatenate([w[1] for w in windows])[order])
+    lo, reach = lo[order], np.maximum.accumulate(hi[order])
     start, end = np.ones(lo.size, dtype=bool), np.ones(lo.size, dtype=bool)
     start[1:] = end[:-1] = lo[1:] > reach[:-1] + 1  # a window that starts a run ends the one before
     return np.concatenate([np.arange(0), *map(np.arange, lo[start], reach[end] + 1)])
 
 
-def _short_edges(terms, levels, r_values, lo, hi):
-    """Masks of the windows whose low or high edge (not 0 or r) is under DROP below the window's peak."""
-    at_lo, at_hi = np.searchsorted(levels, lo), np.searchsorted(levels, hi)
-    bounds = np.empty(2 * at_lo.size, dtype=int)
-    bounds[0::2], bounds[1::2] = at_lo, at_hi + 1
-    # one max per window; each odd slot runs from one window's stop to the next one's start and is dropped
-    peak = np.maximum.reduceat(np.append(terms, -np.inf), bounds)[::2]
-    return (lo > 0) & (terms[at_lo] > peak - DROP), (hi < r_values) & (terms[at_hi] > peak - DROP)
-
-
-def _near_one_log_sums(log_w, log_p, log_t, levels, r_values, lo, hi, gap: float):
-    """ln sum_{l<=r} C(N,l) lambda_l^alpha over each cutoff's window, for 0 < gap = 1 - alpha < ``_NEAR_ONE``.
-
-    With lambda_l = p_l / T_r the sum is 1 + S_r, where
-    S_r = sum_l (w_l / T_r) expm1(gap (ln T_r - ln p_l)) has no negative term
-    (T_r >= p_l), so S_r is a log-sum-exp and ln(1 + S_r) cancels nothing.
-    S_r depends on the cutoff through T_r, so each sample takes its own pass
-    over its window: O(window) per sample.  Returns the sums and the
-    short-edge masks of the windows.
-    """
-    at_lo, at_hi = np.searchsorted(levels, lo), np.searchsorted(levels, hi)
-    out, short = np.empty(len(r_values)), np.zeros((2, len(r_values)), dtype=bool)
-    for k, (i, j, lt) in enumerate(zip(at_lo, at_hi + 1, log_t)):
-        x = gap * (lt - log_p[i:j])
-        with np.errstate(divide="ignore"):  # x = 0 where T_r = p_l, as at r = 0: a zero term
-            log_terms = log_w[i:j] - lt + x + np.log(-np.expm1(-x))  # ln(expm1(x)) without overflow
-        top = log_terms.max()
-        short[:, k] = log_terms[[0, -1]] > top - DROP
-        out[k] = 0.0 if top == -np.inf else np.logaddexp(0.0, top + np.log(np.exp(log_terms - top).sum()))
-    return out, (short[0] & (lo > 0), short[1] & (hi < r_values))
-
-
-def _level_sums(target, n_tilde: int, r_values, keys):
-    """ln sum_{l<=r} e^f(l) at each cutoff r for the sums named by ``keys``, and their windows.
+def _level_sum(target, n_tilde: int, r_values, key, log_t=None):
+    """ln sum_{l<=r} e^f(l) at each cutoff r for the one series named by ``key``.
 
     Keys: "m" for ln C(N, l) (``target`` may be None), "t" for
     ln w_l = ln C(N, l) + ln p_l, "l" for ln(l w_l), and an order alpha in
-    (0, 1) for ln C(N, l) + alpha ln p_l, or, within ``_NEAR_ONE`` of 1, for
-    ``_near_one_log_sums`` (after "t", whose sums it reads).  Every window
-    starts from ``_first_windows`` and is widened until no edge is short.
+    (0, 1) for ln C(N, l) + alpha ln p_l.  Given ``log_t`` = ln T_r, an order
+    within ``_NEAR_ONE`` of 1 instead sums ln sum_{l<=r} C(N,l) lambda_l^alpha
+    with lambda_l = p_l / T_r, as 1 + S_r where
+    S_r = sum_l (w_l / T_r) expm1(gap (ln T_r - ln p_l)), gap = 1 - alpha,
+    has no negative term (T_r >= p_l), so ln(1 + S_r) cancels nothing.  S_r
+    depends on the cutoff through T_r, so each cutoff takes its own pass over
+    its window.  Otherwise the sum is one running log-sum-exp over the table
+    of the series' windows, read at every cutoff.  Each window starts from
+    ``_first_windows``; one whose low edge (not 0) or high edge (not r) lies
+    under ``DROP`` below the window's peak is widened by its width, until
+    none does.
     """
-    log_ratio = 0.0 if target is None else math.log(target.b / target.a)
-    slopes = {"m": 0.0, "t": 1.0, "l": 1.0}
-    windows = {key: _first_windows(n_tilde, r_values, slopes.get(key, key) * log_ratio) for key in keys}
+    slope = {"m": 0.0, "t": 1.0, "l": 1.0}.get(key, key)
+    lo, hi = _first_windows(n_tilde, r_values, slope * (0.0 if target is None else math.log(target.b / target.a)))
     while True:
-        levels = _union(windows.values())
-        read = np.searchsorted(levels, r_values, side="right") - 1
-        log_c = _log_binomials(n_tilde, levels)
-        if target is not None:
+        levels = _union(lo, hi)
+        at_lo, at_hi = np.searchsorted(levels, lo), np.searchsorted(levels, hi)
+        terms = _log_binomials(n_tilde, levels)
+        if key != "m":
             log_p = _log_p(target, n_tilde, levels)
-            log_w = log_c + log_p
-        sums, short = {}, {}
-        for key in keys:
-            if key not in slopes and 1.0 - key < _NEAR_ONE:
-                sums[key], short[key] = _near_one_log_sums(log_w, log_p, sums["t"], levels, r_values,
-                                                           *windows[key], 1.0 - key)
-                continue
-            if key == "m":
-                terms = log_c
-            elif key == "t":
-                terms = log_w
-            elif key == "l":
-                with np.errstate(divide="ignore"):
-                    terms = log_w + np.log(levels)  # ln(l w_l), -inf at l = 0
-            else:
-                terms = log_c + key * log_p
-            sums[key] = np.logaddexp.accumulate(terms)[read]
-            short[key] = _short_edges(terms, levels, r_values, *windows[key])
-        if not any(mask.any() for masks in short.values() for mask in masks):
-            return sums, windows
-        windows = {key: _widen(*windows[key], *short[key], r_values) for key in keys}
+            terms = terms + (1.0 if log_t is not None else slope) * log_p  # ln w_l under the near-one pass
+        if key == "l":
+            with np.errstate(divide="ignore"):
+                terms = terms + np.log(levels)  # ln(l w_l), -inf at l = 0
+        if log_t is None:
+            sums = np.logaddexp.accumulate(terms)[np.searchsorted(levels, r_values, side="right") - 1]
+            bounds = np.empty(2 * at_lo.size, dtype=int)
+            bounds[0::2], bounds[1::2] = at_lo, at_hi + 1
+            # one max per window; each odd slot runs from one window's stop to the next one's start and is dropped
+            peak = np.maximum.reduceat(np.append(terms, -np.inf), bounds)[::2]
+            first, last = terms[at_lo], terms[at_hi]
+        else:
+            sums, peak, first, last = np.empty((4, len(r_values)))
+            for k, (i, j, lt) in enumerate(zip(at_lo, at_hi + 1, log_t)):
+                x = (1.0 - key) * (lt - log_p[i:j])
+                with np.errstate(divide="ignore"):  # x = 0 where T_r = p_l, as at r = 0: a zero term
+                    window = terms[i:j] - lt + x + np.log(-np.expm1(-x))  # ln(expm1(x)) without overflow
+                top = peak[k] = window.max()
+                first[k], last[k] = window[0], window[-1]
+                sums[k] = 0.0 if top == -np.inf else np.logaddexp(0.0, top + np.log(np.exp(window - top).sum()))
+        short_lo, short_hi = (lo > 0) & (first > peak - DROP), (hi < r_values) & (last > peak - DROP)
+        if not (short_lo.any() or short_hi.any()):
+            return sums
+        width = hi - lo + 1
+        lo = np.where(short_lo, np.maximum(lo - width, 0), lo)
+        hi = np.where(short_hi, np.minimum(hi + width, r_values), hi)
 
 
 def tail_mass(target: DilutionTarget, n_tilde: int, r: int) -> float:
     """T = sum_{l<=r} C(N,l) a^(N-l) b^l, in (0, 1], by log-sum-exp."""
     n_tilde, r = _cutoff(n_tilde, r)
-    sums, _ = _level_sums(target, n_tilde, np.array([r]), ["t"])
-    return float(min(math.exp(sums["t"][0]), 1.0))
+    return float(min(math.exp(_level_sum(target, n_tilde, np.array([r]), "t")[0]), 1.0))
 
 
 def m_of_r(n_tilde: int, r: int) -> float:
     """Base-2 log of the retained coefficient count: the teleportation cost in ebits."""
     n_tilde, r = _cutoff(n_tilde, r)
-    sums, _ = _level_sums(None, n_tilde, np.array([r]), ["m"])
-    return float(sums["m"][0] / LN2)
+    return float(_level_sum(None, n_tilde, np.array([r]), "m")[0] / LN2)
 
 
 def fidelity_curve(target: DilutionTarget, n_tilde: int, x_samples):
@@ -294,29 +259,23 @@ def x_star_finite(target: DilutionTarget, n_tilde: int) -> float:
     """Finite-N step location: smallest r with m_of_r(r) >= N H(b), as a fraction.
 
     Since sum_{l <= bN} C(N, l) <= 2^(N H(b)) for b < 1/2, the crossing lies
-    at or above r0 = floor(b N).  One running log-sum-exp over a window
-    centred on r0 gives m_of_r there.  Its low edge is checked as in
-    ``_level_sums`` against the peak on [0, r0], which bounds the levels it
-    drops for every r >= r0, and its top is pushed up until m_of_r crosses
-    the goal.  m_of_r is non-decreasing, so a binary search on it finds the
-    exact crossing.
+    at or above r0 = floor(b N).  ``_level_sum`` reads m_of_r over the cutoff
+    run r0 ... r0 + size, each cutoff through its own checked window; size
+    starts at the width of r0's first window and doubles until the run holds
+    the crossing.  m_of_r is non-decreasing, so a binary search on the run
+    finds the exact crossing.
     """
     n_tilde = _count(n_tilde, "copy count N", 1)
     goal = n_tilde * target.entanglement(1.0)
     r0 = truncation_index(target.b, n_tilde)
-    lo = int(_first_windows(n_tilde, np.array([r0]), 0.0)[0][0])
-    hi = min(2 * r0 - lo + 1, n_tilde)
+    size = r0 - int(_first_windows(n_tilde, np.array([r0]), 0.0)[0][0]) + 1
     while True:
-        log_c = _log_binomials(n_tilde, np.arange(lo, hi + 1))
-        if lo > 0 and log_c[0] > log_c[: r0 - lo + 1].max() - DROP:
-            lo = max(2 * lo - hi - 1, 0)
-            continue
-        m_bits = np.logaddexp.accumulate(log_c) / LN2
+        m_bits = _level_sum(None, n_tilde, np.arange(r0, min(r0 + size, n_tilde) + 1), "m") / LN2
         k = int(np.searchsorted(m_bits, goal))
-        if k < m_bits.size or hi == n_tilde:
+        if k < m_bits.size or r0 + size >= n_tilde:
             # rounding may keep m_of_r(N) = N a hair below a goal close to N
-            return min(lo + k, n_tilde) / n_tilde
-        hi = min(2 * hi - lo + 1, n_tilde)
+            return min(r0 + k, n_tilde) / n_tilde
+        size *= 2
 
 
 def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,)) -> DilutionCurve:
@@ -326,15 +285,17 @@ def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,
     with multiplicity C(N, l); the per-copy Shannon entropy is
     -(1/N) sum C(N,l) lambda_l log2 lambda_l and the order-alpha value is
     log2(sum C(N,l) lambda_l^alpha) / (N (1 - alpha)), or the Shannon value
-    within ``ALPHA_ONE_TOL`` of alpha = 1.  Each sum is one running log-sum-exp
-    over the union of its checked windows (see the module docstring), read at
-    every cutoff: O(S sqrt N) per call rather than O(N), and each sum loses at
-    most 2 e^-DROP K / DROP of itself, K its widest window.  Orders with
+    within ``ALPHA_ONE_TOL`` of alpha = 1.  Each series is one ``_level_sum``
+    call: one running log-sum-exp over its own table, the union of that
+    series' checked windows (see the module docstring), read at every cutoff.
+    That is O(S sqrt N) per call rather than O(N), and each sum loses at most
+    2 e^-DROP K / DROP of itself, K its widest window.  Orders with
     1 - alpha below ``monotones._NEAR_ONE`` (the window ``renyi_entropy``
-    uses) instead take ``_near_one_log_sums``, O(window) per sample.  Shifting
-    the Shannon sum about level r, N ln2 e1 = (ln T - ln p_r) - ln(a/b)(r - L),
-    with L the mean retained level, gives exactly 0 at r = 0 and avoids the
-    order-N cancellation of ln T - sum_l C(N,l) p_l ln p_l / T.
+    uses) instead take one pass per cutoff over its window, given ln T:
+    O(window) per sample.  Shifting the Shannon sum about level r,
+    N ln2 e1 = (ln T - ln p_r) - ln(a/b)(r - L), with L the mean retained
+    level, gives exactly 0 at r = 0 and avoids the order-N cancellation of
+    ln T - sum_l C(N,l) p_l ln p_l / T.
     """
     n_tilde = _count(n_tilde, "copy count N", 1)
     xs = np.asarray(x_samples, dtype=float)
@@ -345,12 +306,10 @@ def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     r_values = np.array([truncation_index(x, n_tilde) for x in xs], dtype=int)
-    orders = [alpha for alpha in alphas if alpha != 0.0 and not abs(alpha - 1.0) < ALPHA_ONE_TOL]
-    sums, _ = _level_sums(target, n_tilde, r_values, ["t", "m", "l", *orders])
-    log_t = sums["t"]
+    log_t = _level_sum(target, n_tilde, r_values, "t")
     tails = np.minimum(np.exp(log_t), 1.0)
-    ms = sums["m"] / LN2
-    mean_level = np.exp(sums["l"] - log_t)
+    ms = _level_sum(target, n_tilde, r_values, "m") / LN2
+    mean_level = np.exp(_level_sum(target, n_tilde, r_values, "l") - log_t)
     log_p_r = _log_p(target, n_tilde, r_values)
     nats = (log_t - log_p_r) - math.log(target.a / target.b) * (r_values - mean_level)
     e1 = nats / (LN2 * n_tilde) + 0.0
@@ -362,7 +321,10 @@ def entropy_curves(target: DilutionTarget, n_tilde: int, x_samples, alphas=(0.5,
         elif alpha == 0.0:
             per_alpha[alpha] = ms / n_tilde
         else:
-            log_s = sums[alpha] if 1.0 - alpha < _NEAR_ONE else sums[alpha] - alpha * log_t
+            if 1.0 - alpha < _NEAR_ONE:
+                log_s = _level_sum(target, n_tilde, r_values, alpha, log_t)
+            else:
+                log_s = _level_sum(target, n_tilde, r_values, alpha) - alpha * log_t
             per_alpha[alpha] = log_s / (LN2 * n_tilde * (1.0 - alpha)) + 0.0
 
     return DilutionCurve(

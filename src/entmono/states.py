@@ -36,6 +36,14 @@ def _count(value, name, low=0) -> int:
     return int(value)
 
 
+def _outside(low, value, high) -> bool:
+    """Whether ``value`` lies outside [low, high] (NaN does); a non-number is left to the count rule."""
+    try:
+        return not low <= value <= high
+    except TypeError:
+        return False
+
+
 def _first_off_one(values, tol):
     """The first of ``values`` (flattened) farther than ``tol`` from 1, NaN included, or None."""
     values = np.reshape(values, -1)
@@ -370,7 +378,7 @@ def random_pure_state(dim_a: int, dim_b: int, rng=None) -> PureState:
 def random_density_matrix(dim: int, rng=None, rank=None) -> DensityMatrix:
     """Unit-trace Wishart matrix G G^dag / tr with G a dim x rank Gaussian."""
     rank = dim if rank is None else rank
-    if not rank >= 1:
+    if _outside(1, rank, np.inf):
         raise ValueError(f"rank must be at least 1, got {rank!r}")
     rank = _count(rank, "rank", 1)
     g = _complex_normal(ensure_rng(rng), (dim, rank))

@@ -454,7 +454,7 @@ class TestCliProperty:
     @example(argv=["schmidt", "bell", "--alphas=-0.0", "--csv", "out.csv"])
     @example(argv=["dilution", "--theta=5.734297452961379e-159", "--n=1", "--samples=1", "--alphas=0.0"])
     def test_clean_exit_and_finite_output(self, state_dir, argv):
-        """Every command exits 0, 2, 3 or 4 and prints no nan, inf or -0."""
+        """Every command exits 0, 2, 3 or 4 and prints no nan, inf or -0; exits 2 and 3 print and write nothing."""
         csv = state_dir / "out.csv"
         csv.unlink(missing_ok=True)
         paths = {name: str(state_dir / f"{name}.json") for name in STATE_FILES}
@@ -466,5 +466,7 @@ class TestCliProperty:
             except SystemExit as exc:  # argparse's usage error
                 code = exc.code
         assert code in (0, 2, 3, 4), err.getvalue()
+        if code not in (0, 4):
+            assert out.getvalue() == "" and not csv.exists(), (code, out.getvalue())
         text = out.getvalue() + (csv.read_text() if csv.exists() else "")
         assert not BAD_NUMBER.search(text), text

@@ -433,6 +433,10 @@ class TestLevelWindows:
         assert np.all(np.abs(curve.e1_per_copy - e1) <= 1e-13)
         for a in alphas:
             assert np.all(np.abs(curve.e_alpha_per_copy[a] - per_alpha[a]) <= 1e-13), a
+        l = np.arange(n + 1)
+        running_m = np.logaddexp.accumulate(gammaln(n + 1) - gammaln(l + 1) - gammaln(n - l + 1)) / math.log(2)
+        crossing = min(int(np.searchsorted(running_m, n * target.entanglement(1.0))), n)
+        assert x_star_finite(target, n) == crossing / n
 
     @staticmethod
     def window_terms(target, n, key, r, lo, hi, log_t):
@@ -453,19 +457,27 @@ class TestLevelWindows:
             return log_c + log_p - log_t + x + np.log(-np.expm1(-x))
 
     @pytest.mark.parametrize("theta", [math.pi / 6, 0.7])
-    def test_a_million_copies_read_under_five_percent(self, theta):
+    def test_a_million_copies_read_under_five_percent(self, theta, monkeypatch):
         n = 10**6
         target = DilutionTarget(theta)
         r_values = np.array([truncation_index(x, n) for x in np.linspace(0.0, 1.0, 11)])
-        keys = ["t", "m", "l", 0.25, 0.5, 0.99995]
-        sums, windows = dilution._level_sums(target, n, r_values, keys)
-        levels = dilution._union(windows.values())
-        assert levels.size < 0.05 * (n + 1)
-        for key, (lo, hi) in windows.items():
-            for r, a, b, log_t in zip(r_values, lo, hi, sums["t"]):
+        log_t = dilution._level_sum(target, n, r_values, "t")
+        tables = []  # the windows and table of each pass; a sum's last pass is its checked one
+        union = dilution._union
+
+        def spy(lo, hi):
+            tables.append((lo, hi, union(lo, hi)))
+            return tables[-1][2]
+
+        monkeypatch.setattr(dilution, "_union", spy)
+        for key in ["t", "m", "l", 0.25, 0.5, 0.99995]:
+            dilution._level_sum(target, n, r_values, key, log_t if key == 0.99995 else None)
+            lo, hi, levels = tables[-1]
+            assert levels.size < 0.05 * (n + 1), key
+            for r, a, b, lt in zip(r_values, lo, hi, log_t):
                 assert 0 <= a <= b <= r
                 assert np.array_equal(levels[np.searchsorted(levels, a):][: b - a + 1], np.arange(a, b + 1))
-                terms = self.window_terms(target, n, key, r, a, b, log_t)
+                terms = self.window_terms(target, n, key, r, a, b, lt)
                 peak = terms.max()
                 assert a == 0 or terms[0] <= peak - dilution.DROP, (key, r)
                 assert b == r or terms[-1] <= peak - dilution.DROP, (key, r)
