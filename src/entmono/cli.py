@@ -1,19 +1,23 @@
 """Command-line front end: schmidt, bound, dilution, check, roof.
 
-Numeric CSV cells carry 12 significant digits; human-readable summaries are
-printed at 4 digits.  The default seed comes from the ENTMONO_SEED environment
-variable (0 when unset).  Exit codes: 0 success, 1 standard output closed by
-its reader (``entmono bound A B | head -1``), 2 parse error or an input or
-output file that cannot be read or written, 3 precondition violation, 4
-property-check failure.  A command writes its files before it prints, and a
-failure prints no result.
+Numeric CSV cells carry 12 significant digits (``'%.12g' % value``);
+human-readable summaries are printed at 4 digits.  ``main`` builds its
+argument parser once per process and reads the default seed from the
+ENTMONO_SEED environment variable (0 when unset) on every call.  Exit codes:
+0 success, 1 standard output closed by its reader
+(``entmono bound A B | head -1``), 2 parse error or an input or output file
+that cannot be read or written, 3 precondition violation, 4 property-check
+failure.  A command writes its files before it prints, and a failure prints
+no result.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -40,20 +44,19 @@ EXIT_PROPERTY = 4
 SEED_ENV_VAR = "ENTMONO_SEED"
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.12g}"
-
-
 def _csv(path, header, rows) -> str:
     """The CSV text if ``path`` is '-' (standard output), else '' once it is written to ``path``.
 
-    Commands write their files before they print anything, so an unwritable
-    path ends a command before any result reaches standard output.
+    A ``str`` cell is written as it is and any other cell as ``'%.12g' % value``.
+    The first row's cell kinds give the format of every row, so each column
+    holds one kind, and the whole table is formatted with one ``%``.  Commands
+    write their files before they print anything, so an unwritable path ends a
+    command before any result reaches standard output.
     """
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
+    rows = list(rows)
+    first = rows[0] if rows else ()
+    row_format = ",".join("%s" if isinstance(cell, str) else "%.12g" for cell in first) + "\n"
+    text = ",".join(header) + "\n" + (row_format * len(rows)) % tuple(chain.from_iterable(rows))
     if path == "-":
         return text
     try:
@@ -195,7 +198,14 @@ def _parse_dims(text: str):
         raise StateFileError(f"cannot parse dims {text!r}: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, shared by every ``main`` call; callers must not change it.
+
+    It holds no per-call state: the seed default is None and ``main`` resolves
+    it from ENTMONO_SEED on each call, and each command's ``func`` is looked
+    up once here.
+    """
     parser = argparse.ArgumentParser(
         prog="entmono",
         description="Entanglement monotones for bipartite pure states",

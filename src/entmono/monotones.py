@@ -92,12 +92,16 @@ def renyi_entropy(p, alpha):
     if p.size == 0:
         raise ValueError("probability vector must be non-empty")
     # written so that NaN fails both checks
-    if not p.min() >= -PROB_NEG_TOL:
+    low = p.min()
+    if not low >= -PROB_NEG_TOL:
         raise ValueError("probability vector has a negative or NaN entry")
     total = _first_off_one(p.sum(axis=-1), 1e-9)
     if total is not None:
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-9")
-    p = np.maximum(p, 0.0)
+    # only entries within PROB_NEG_TOL below zero need the clamp; a -0.0 left
+    # as it is gives the same values
+    if low < 0.0:
+        p = np.maximum(p, 0.0)
     if orders is not None:
         a = orders.reshape(orders.shape + (1,) * (p.ndim - 1))
         # a scalar 0.5 takes numpy's sqrt fast path, which pow can miss by an ulp

@@ -46,14 +46,16 @@ def _outside(low, value, high) -> bool:
 
 def _first_off_one(values, tol):
     """The first of ``values`` (flattened) farther than ``tol`` from 1, NaN included, or None."""
-    values = np.reshape(values, -1)
-    off = values[~(abs(values - 1.0) <= tol)]
-    return float(off[0]) if off.size else None
+    values = np.asarray(values).reshape(-1)
+    # one max settles the common case; a NaN max fails it and falls through to the search
+    if _within(values - 1.0, tol):
+        return None
+    return float(values[~(abs(values - 1.0) <= tol)][0])
 
 
 def _within(x, tol) -> bool:
     """Whether every entry of ``x`` is at most ``tol`` in modulus; NaN never is."""
-    return bool(np.max(np.abs(x), initial=0.0) <= tol)
+    return bool(np.abs(x).max(initial=0.0) <= tol)
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:

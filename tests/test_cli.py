@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,8 +324,42 @@ def test_unwritable_output_exits_2_with_one_line(argv, files, tmp_path, capsys):
     assert not (tmp_path / "no_such_dir").exists()
 
 
+EDGE_FLOATS = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e12 - 1, 1e12 + 1, 999999999999.5)
+CSV_COLUMNS = {
+    "float": st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
+    "np.float64": st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)).map(np.float64),
+    "int": st.integers(-2**70, 2**70),
+    "np.int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "str": st.text(st.characters(blacklist_characters=",\n\r"), max_size=6),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows whose columns each hold one cell kind, as every command's columns do."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_COLUMNS)), min_size=1, max_size=5))
+    rows = draw(st.lists(st.tuples(*(CSV_COLUMNS[kind] for kind in kinds)), max_size=6))
+    return [f"c{i}" for i in range(len(kinds))], rows
+
+
+def reference_csv(header, rows) -> str:
+    """The CSV written one cell at a time: a str as it is, any other cell through float and :.12g."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else f"{float(c):.12g}" for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 class TestGoldenContracts:
     """Freeze the CSV column contracts and one fully-worked dilution table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=csv_tables())
+    @example(table=(["x"], []))
+    @example(table=(["trial", "monotone"], []))
+    @example(table=(["x", "name", "i"], [(v, "e1", np.int64(-3)) for v in EDGE_FLOATS]))
+    def test_cells_match_the_per_cell_format(self, table):
+        header, rows = table
+        assert cli._csv("-", header, iter(rows)) == reference_csv(header, rows)
 
     # theta = pi/6 makes every tail mass exactly dyadic: T(r) = sum of
     # C(4,l) 3^(4-l) / 256 over l <= r
@@ -374,14 +410,33 @@ class TestGoldenContracts:
 
 
 class TestDeterminism:
-    def test_check_csv_byte_identical(self, tmp_path):
+    def test_check_csv_byte_identical(self, files, tmp_path, capsys):
+        """The same check twice, with every other command run in between, gives the same stdout and CSV."""
         outs = []
         for idx in (1, 2):
             out = tmp_path / f"r{idx}.csv"
             main(["check", "--monotone", "e1", "--trials", "25", "--dims", "2x2",
                   "--seed", "42", "--csv", str(out)])
-            outs.append(out.read_bytes())
+            outs.append((capsys.readouterr().out, out.read_bytes()))
+            if idx == 1:
+                assert main(["schmidt", files["source"], "--csv", "-"]) == 0
+                assert main(["bound", files["source"], files["target"], "--csv", "-"]) == 0
+                assert main(["dilution", "--theta", "0.5", "--n", "50", "--samples", "7"]) == 0
+                assert main(["roof", files["mixed"], "--restarts", "1", "--iterations", "20",
+                             "--certificate", str(tmp_path / "cert.json")]) == 0
+                assert capsys.readouterr().out != ""
         assert outs[0] == outs[1]
+
+    def test_parser_built_once_per_process(self, files, capsys):
+        main(["schmidt", files["bell"]])
+        # autospec binds self, and side_effect passes each call on to the real __init__
+        init = argparse.ArgumentParser.__init__
+        with mock.patch.object(argparse.ArgumentParser, "__init__", autospec=True,
+                               side_effect=init) as built:
+            assert main(["schmidt", files["bell"]]) == 0
+            assert main(["check", "--trials", "2", "--dims", "2x2"]) == 0
+        assert built.call_count == 0
+        assert "E_1 = 1.0000" in capsys.readouterr().out
 
     def test_seed_env_var_used(self, files, tmp_path, monkeypatch):
         results = []
