@@ -13,8 +13,11 @@ The restarts of one search advance in lockstep, each on its own generator,
 and give results identical to running them one after another.  Each run draws
 its proposals in blocks up front, so a step makes no generator call.  A
 rotation changes two rows of V, so a step re-evaluates only those two members
-of each restart and re-sums the cached terms of the rest.  The same descent
-searches the stacked runs of many states at once (``_search``).
+of each restart and re-sums the cached terms of the rest.  Where one party is
+a qubit, each run scores a window of ``ROOF_LOOKAHEAD`` proposals at once and
+takes the first that helps; no result depends on the window, the block size or
+the lockstep.  The same descent searches the stacked runs of many states at
+once (``_search``).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .states import (OUTCOME_FLOOR, SPECTRUM_CLAMP, DensityMatrix, PureState, _h
 
 STEP0, STEP_MIN = 0.6, 0.01  # the proposal step size decays exponentially from STEP0 to STEP_MIN
 ROOF_DRAW_BLOCK = 256  # each run draws its proposals for this many steps at a time
+ROOF_LOOKAHEAD = 8  # proposals a two-row run scores per pass (see _descend)
 
 
 @dataclass(frozen=True)
@@ -132,26 +136,41 @@ def _descend(v: np.ndarray, sqrt_lam, basis_t, spec: MonotoneSpec, dim_a: int, d
 
     Run k searches the ensembles of its own state: ``sqrt_lam`` (n, 1, rank)
     and ``basis_t`` (n, rank, d) hold the square-rooted eigenvalues and the
-    transposed eigenvectors of each run, or broadcast to those shapes.  Each
-    step proposes, per run, a complex Givens rotation of two distinct rows by
-    angle theta ~ N(0, step^2) and phase phi ~ U[0, 2pi), with the step size
+    transposed eigenvectors of each run, or broadcast to those shapes.  Step t
+    proposes, per run, a complex Givens rotation of two distinct rows by angle
+    theta ~ N(0, step_t^2) and phase phi ~ U[0, 2pi), with the step size
     decaying from STEP0 to STEP_MIN, and accepts it on strict decrease of the
     run's left-to-right sum of member terms.  Run k draws its proposals from
     ``rngs[k]``, one ``random((steps, 5))`` per ``ROOF_DRAW_BLOCK`` steps; every
     row is a contiguous slice of the stream mapped element by element, so the
-    result does not depend on the block size.  Returns each run's final sum
-    and its sum at 80% of the iterations.
+    result does not depend on the block size.
+
+    Where min(dim_a, dim_b) = 2, members are scored by the closed-form two-row
+    kernel, whose cost hardly grows with the stack, and each run looks ahead
+    (``_look_ahead``): it scores its next ``ROOF_LOOKAHEAD`` proposals from its
+    current isometry in one call and takes the first that lowers its sum.  A
+    rejected proposal leaves a run unchanged, so every accepted move, and so
+    the result, is the one step-by-step search's, for any window.  Other dims
+    take one step per call (``_step_together``), since a stacked SVD costs in
+    proportion to its stack.  Returns each run's final sum and its sum at 80%
+    of the iterations.
     """
     n, m, _ = v.shape
     terms = _member_terms(v, sqrt_lam, basis_t, spec, dim_a, dim_b)
     # accumulate sums each run's terms left to right, in member order; a
     # pairwise sum would round accept decisions differently
     current = np.add.accumulate(terms, axis=1)[:, -1]
-    at_checkpoint = current
+    at_checkpoint = current.copy()
     if m < 2:
         return current, at_checkpoint
+    state = v, terms, current, at_checkpoint
+
+    def score(rotated):
+        """Member terms of the rows ``rotated`` (n, k, rank) of each run."""
+        return _member_terms(rotated, sqrt_lam, basis_t, spec, dim_a, dim_b)
+
+    advance = _look_ahead if min(dim_a, dim_b) == 2 else _step_together
     checkpoint = int(0.8 * iterations)
-    runs = np.arange(n)[:, None]
     decay = (STEP_MIN / STEP0) ** (1.0 / max(iterations, 1))
     step = STEP0
     for first in range(0, iterations, ROOF_DRAW_BLOCK):
@@ -167,21 +186,74 @@ def _descend(v: np.ndarray, sqrt_lam, basis_t, spec: MonotoneSpec, dim_a: int, d
         theta = steps * np.sqrt(-2.0 * np.log1p(-u[..., 2])) * np.cos(2.0 * np.pi * u[..., 3])
         cos = np.cos(theta)[..., None]
         sin = (np.sin(theta) * np.exp(1j * (2.0 * np.pi * u[..., 4])))[..., None]
-        for t in range(size):
-            if first + t == checkpoint:
-                at_checkpoint = current
-            pair, c, s = pairs[:, t], cos[:, t], sin[:, t]
-            old = v[runs, pair]
-            rotated = np.stack([c * old[:, 0] - np.conj(s) * old[:, 1],
-                                s * old[:, 0] + c * old[:, 1]], axis=1)
-            trial = terms.copy()
-            trial[runs, pair] = _member_terms(rotated, sqrt_lam, basis_t, spec, dim_a, dim_b)
-            totals = np.add.accumulate(trial, axis=1)[:, -1]
-            accept = totals < current
-            v[runs[accept], pair[accept]] = rotated[accept]
-            terms[accept] = trial[accept]
-            current = np.where(accept, totals, current)
+        advance(state, score, (pairs, cos, sin), checkpoint - first)
     return current, at_checkpoint
+
+
+def _rotated(old, c, s):
+    """The rotation (c, s) of each row pair ``old`` (..., 2, rank): c r0 - conj(s) r1 and s r0 + c r1."""
+    r0, r1 = old[..., 0, :], old[..., 1, :]
+    return np.stack([c * r0 - np.conj(s) * r1, s * r0 + c * r1], axis=-2)
+
+
+def _step_together(state, score, block, checkpoint):
+    """One block of ``_descend``: every run takes step t of the block at once, for each t in turn."""
+    v, terms, current, at_checkpoint = state
+    pairs, cos, sin = block
+    runs = np.arange(len(v))[:, None]
+    for t in range(pairs.shape[1]):
+        if t == checkpoint:
+            at_checkpoint[:] = current
+        pair = pairs[:, t]
+        rotated = _rotated(v[runs, pair], cos[:, t], sin[:, t])
+        trial = terms.copy()
+        trial[runs, pair] = score(rotated)
+        totals = np.add.accumulate(trial, axis=1)[:, -1]
+        accept = totals < current
+        v[runs[accept], pair[accept]] = rotated[accept]
+        terms[accept] = trial[accept]
+        current[accept] = totals[accept]
+
+
+def _look_ahead(state, score, block, checkpoint):
+    """One block of ``_descend``: each run moves past its first improving proposal of a window at a time.
+
+    A pass applies each run's next ``ROOF_LOOKAHEAD`` proposals (fewer at the
+    end of the block) to its current isometry, scores the 2 changed members of
+    each in one call, forms the trial sums left to right, and moves the run
+    past the first proposal that lowers its sum, applying it, or past the whole
+    window.  Proposals after the accepted one were scored against a state that
+    no longer holds, so the next pass scores them again.  A run that reaches the
+    end of the block waits there, its windows empty, for the others.
+    """
+    v, terms, current, at_checkpoint = state
+    pairs, cos, sin = block
+    n, size, window = len(v), pairs.shape[1], ROOF_LOOKAHEAD
+    offsets = np.arange(window)
+    runs = np.arange(n)[:, None]
+    position = np.zeros(n, dtype=np.intp)
+    while position.min() < size:
+        ahead = position[:, None] + offsets
+        valid = ahead < size
+        ahead = np.minimum(ahead, size - 1)
+        pair = pairs[runs, ahead]  # (n, window, 2)
+        rotated = _rotated(v[runs[..., None], pair], cos[runs, ahead], sin[runs, ahead])
+        trial = np.repeat(terms[:, None], window, axis=1)
+        trial[runs[..., None], offsets[:, None], pair] = score(rotated.reshape(n, 2 * window, -1)).reshape(n, window, 2)
+        totals = np.add.accumulate(trial, axis=2)[..., -1]
+        accept = (totals < current[:, None]) & valid
+        hit = accept.any(axis=1)
+        # the last proposal this pass consumes: the accepted one, else the window's end (-1 past the block)
+        last = np.where(hit, accept.argmax(axis=1), valid.sum(axis=1) - 1)
+        if 0 <= checkpoint < size:
+            # the sum before the checkpoint step is the sum before this pass
+            seen = (position <= checkpoint) & (checkpoint <= position + last)
+            at_checkpoint[seen] = current[seen]
+        took = last[hit]
+        v[runs[hit], pair[hit, took]] = rotated[hit, took]
+        terms[hit] = trial[hit, took]
+        current[hit] = totals[hit, took]
+        position += last + 1
 
 
 def _search(searches, spec: MonotoneSpec, dim_a: int, dim_b: int, iterations: int) -> list:
@@ -199,8 +271,11 @@ def _search(searches, spec: MonotoneSpec, dim_a: int, dim_b: int, iterations: in
     """
     groups = {}  # (runs, m, rank) -> per search: index, generators, per-run starts, sqrt(lam), evecs^T
     for index, (lam, evecs, m, restarts, seed, initial) in enumerate(searches):
+        if isinstance(initial, np.ndarray) and initial.ndim != 3:
+            raise ValueError("initial_isometries must be a sequence of isometries or a (k, rows, rank) "
+                             f"stack of them, got an array of shape {initial.shape}")
         starts = [np.eye(m, lam.size, dtype=complex)]
-        starts += [_checked_isometry(v0, lam.size, m) for v0 in initial or ()]
+        starts += [_checked_isometry(v0, lam.size, m) for v0 in (() if initial is None else initial)]
         n_runs = max(restarts, len(starts), 1)
         children = np.random.SeedSequence(ensure_rng(seed).integers(2**63)).spawn(n_runs)
         rngs = [np.random.default_rng(child) for child in children]
@@ -237,8 +312,11 @@ def roof_estimate(rho: DensityMatrix, dim_a: int, dim_b: int, spec: MonotoneSpec
 
     ``_search`` runs the restarts in lockstep through ``_descend``, each on
     its own generator, so the result is identical to running them one after
-    another.  A step re-evaluates only the two members its rotation changed,
-    and the best run's left-to-right sum of member terms is the reported value.
+    another.  A step re-evaluates only the two members its rotation changed
+    (a two-row state scores several steps' worth at once, with the same
+    result), and the best run's left-to-right sum of member terms is the
+    reported value.  ``initial_isometries`` is a sequence of isometries or a
+    (k, rows, rank) array of them.
     """
     dim_a, dim_b = _count(dim_a, "dim_a", 1), _count(dim_b, "dim_b", 1)
     if rho.dim != dim_a * dim_b:

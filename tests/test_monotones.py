@@ -1,5 +1,6 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from entmono import (
     trace_fn_spec,
 )
 from entmono.monotones import linear_entropy_term, shannon_term, spectrum_of
-from entmono.states import _schmidt_values
+from entmono.states import _haar_isometry, _schmidt_values, _two_row_squares
 
 # direct high-precision evaluation of -0.7 log2 0.7 - 0.3 log2 0.3
 H_07_03 = 0.8812908992306927
@@ -403,3 +404,73 @@ class TestOneSpectrumKernel:
         for _ in range(20):
             psi = product_state([1.0], rng.normal(size=3) + 1j * rng.normal(size=3))
             assert monotone_by_name(name)(psi).hex() == (0.0).hex()
+
+
+def exact_squares(mat) -> np.ndarray:
+    """Squared singular values of the float matrix ``mat`` (2 x n or n x 2), descending, from 50 digits."""
+    with mpmath.workdps(50):
+        r0, r1 = ([mpmath.mpc(complex(z)) for z in row] for row in (mat if mat.shape[0] == 2 else mat.T))
+        p, s = (mpmath.fsum(abs(z) ** 2 for z in row) for row in (r0, r1))
+        q = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(r0, r1))
+        root = mpmath.sqrt(((p - s) / 2) ** 2 + abs(q) ** 2)
+        return np.array([float((p + s) / 2 + root), float((p + s) / 2 - root)])
+
+
+def unit_gaussian(rng, shape) -> np.ndarray:
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return m / np.linalg.norm(m.reshape(*shape[:-2], -1), axis=-1)[..., None, None]
+
+
+class TestTwoRowKernel:
+    """Where min(a, b) = 2, ``_schmidt_values`` takes the closed form ``states._two_row_squares``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 5), (6, 2)]), lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_close_to_the_svd(self, dims, lead, seed):
+        m = unit_gaussian(np.random.default_rng(seed), lead + dims)
+        squares = _two_row_squares(m)
+        exact = np.array([exact_squares(mat) for mat in m.reshape(-1, *dims)]).reshape(squares.shape)
+        assert np.abs(squares - exact).max() <= 1e-15
+        # the SVD's own error reaches 1.3e-15 (28 of 10^5 Gaussian 2x2 matrices; the kernel's 2.8e-16)
+        assert np.abs(squares - np.linalg.svd(m, compute_uv=False) ** 2).max() <= 2e-15
+        values = _schmidt_values(m)
+        assert np.all(squares[..., 0] >= squares[..., 1]) and np.all(values[..., 0] >= values[..., 1])
+        assert np.abs(values.sum(axis=-1) - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 5), (6, 2)])
+    def test_against_50_digits_at_small_gaps_and_small_values(self, dims):
+        rng = np.random.default_rng(31)
+
+        def matrix(lam):
+            """U diag(sqrt(lam)) W^dag in floats, with Haar isometries U and W."""
+            return (_haar_isometry(dims[0], 2, rng) * np.sqrt(lam)) @ _haar_isometry(dims[1], 2, rng).conj().T
+
+        # the form (1 + sqrt(1 - 4D))/2 is 1e-13 off at a gap of 1e-3 and 1e-8 off at 1e-8 and below
+        for gap in [0.0, *10.0 ** -np.arange(3, 11)]:
+            for _ in range(4):
+                mat = matrix(np.array([1.0 + gap, 1.0 - gap]) / 2)
+                exact = exact_squares(mat)
+                assert np.abs(_schmidt_values(mat) - exact / exact.sum()).max() <= 1e-15
+        for small in 10.0 ** -np.arange(6, 12):
+            for _ in range(4):
+                mat = matrix(np.array([1.0 - small, small]))
+                exact = exact_squares(mat)
+                want = exact[1] / exact.sum()
+                assert abs(_schmidt_values(mat)[1] - want) <= 1e-6 * want
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 5), (6, 2)])
+    def test_same_bits_in_any_stack_slot_or_layout(self, dims):
+        # elementwise products on 0-d arrays can round differently from the array loop,
+        # so a lone matrix must take the same path as its slot in a stack
+        stack = unit_gaussian(np.random.default_rng(32), (7, *dims))
+        mat = stack[3]
+        want = _schmidt_values(mat).tobytes()
+        transposed_layout = np.swapaxes(np.ascontiguousarray(np.swapaxes(stack, 1, 2)), 1, 2)
+        got = [_schmidt_values(mat[None])[0], _schmidt_values(stack)[3], _schmidt_values(stack[1::2])[1],
+               _schmidt_values(np.asfortranarray(mat)), _schmidt_values(transposed_layout)[3],
+               _schmidt_values(stack.reshape(7, 1, *dims))[3, 0]]
+        if dims[0] != dims[1]:
+            # an a x 2 matrix is read as the 2 x a transpose, so either orientation gives the same bits
+            got.append(_schmidt_values(mat.T))
+        assert [values.tobytes() for values in got] == [want] * len(got)

@@ -17,6 +17,7 @@ from entmono import (
     roof_estimate,
 )
 from entmono import roof
+from entmono.locc import check_c2
 from entmono.monotones import alpha_entropy_spec, monotone_by_name
 from entmono.states import _haar_isometry
 
@@ -338,6 +339,58 @@ class TestDrawSchedule:
             got = roof_estimate(rho, *dims, E1, m=m, restarts=restarts, iterations=iterations, seed=seed)
         assert estimate_bits(got) == estimate_bits(want)
 
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3)]), rank=st.integers(1, 6), extra=st.integers(0, 2),
+           restarts=st.integers(1, 3), iterations=st.integers(0, 40), window=st.integers(1, 9),
+           block=st.one_of(st.none(), st.integers(1, 9)),
+           name=st.sampled_from(["e0", "e1", "e_alpha:0.5", "trace_fn:linear", "control:sum_squares"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_window_changes_nothing(self, dims, rank, extra, restarts, iterations, window, block, name, seed):
+        # m = rank + extra: m = 2 at rank 2 (or rank 1 and one extra row), zero-padded starts past the rank;
+        # a small block puts block ends and the 80% checkpoint inside windows
+        rho = random_density_matrix(dims[0] * dims[1], np.random.default_rng(seed),
+                                    rank=min(rank, dims[0] * dims[1]))
+        m = roof._eigen_decomposition(rho)[0].size + extra
+        spec = monotone_by_name(name)
+        want = roof_estimate(rho, *dims, spec, m=m, restarts=restarts, iterations=iterations, seed=seed)
+        patches = {"ROOF_LOOKAHEAD": window, **({} if block is None else {"ROOF_DRAW_BLOCK": block})}
+        with mock.patch.multiple(roof, **patches):
+            got = roof_estimate(rho, *dims, spec, m=m, restarts=restarts, iterations=iterations, seed=seed)
+        assert estimate_bits(got) == estimate_bits(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3)]), rank=st.integers(1, 6), extra=st.integers(0, 2),
+           runs=st.integers(1, 4), iterations=st.integers(0, 60), window=st.integers(1, 9),
+           block=st.one_of(st.none(), st.integers(1, 9)), seed=st.integers(0, 2**32 - 1))
+    def test_look_ahead_is_the_step_loop(self, dims, rank, extra, runs, iterations, window, block, seed):
+        # every run's final isometry, final sum and sum at the 80% checkpoint, against the
+        # one-step-per-call loop the other dims take, on the same two-row kernel
+        rho = random_density_matrix(dims[0] * dims[1], np.random.default_rng(seed),
+                                    rank=min(rank, dims[0] * dims[1]))
+        lam, evecs = roof._eigen_decomposition(rho)
+        m = lam.size + extra
+        sizes = {} if block is None else {"ROOF_DRAW_BLOCK": block}
+
+        def descend(**patches):
+            rng = np.random.default_rng(seed)
+            # run 0 is the zero-padded eigen-ensemble, the others Haar
+            v = np.array([np.eye(m, lam.size, dtype=complex)] + [_haar_isometry(m, lam.size, rng)
+                                                                 for _ in range(runs - 1)])
+            rngs = [np.random.default_rng([seed, k]) for k in range(runs)]
+            with mock.patch.multiple(roof, **patches, **sizes):
+                sums = roof._descend(v, np.broadcast_to(np.sqrt(lam), (runs, 1, lam.size)),
+                                     np.broadcast_to(evecs.T, (runs, *evecs.T.shape)), E1, *dims, rngs, iterations)
+            return v.tobytes(), *(x.tobytes() for x in sums)
+
+        assert descend(ROOF_LOOKAHEAD=window) == descend(_look_ahead=roof._step_together)
+
+    def test_window_changes_no_c2_record(self):
+        reports = []
+        for window in (1, 8):
+            with mock.patch.object(roof, "ROOF_LOOKAHEAD", window):
+                reports.append(check_c2(E1, trials=4, dims=(2, 2), seed=9))
+        assert len({(r.before.tobytes(), r.after.tobytes()) for r in reports}) == 1
+
     @pytest.mark.parametrize("iterations", [0, 1, roof.ROOF_DRAW_BLOCK + 1])
     def test_equal_to_the_one_row_per_step_search(self, iterations):
         rho = random_density_matrix(6, np.random.default_rng(11), rank=3)
@@ -469,6 +522,20 @@ class TestRoofEdgeCases:
         with pytest.raises(ValueError, match="ensemble size 6 exceeds the cap m=2"):
             roof_estimate(benchmark_state(), 2, 2, E1, m=2, restarts=1, iterations=0, seed=0,
                           initial_isometries=[_haar_isometry(6, 2, rng)])
+
+    def test_stack_of_starts_equals_the_list(self, rng):
+        rho = random_density_matrix(4, rng, rank=2)
+        starts = np.array([_haar_isometry(3, 2, rng), _haar_isometry(3, 2, rng)])
+        want = roof_estimate(rho, 2, 2, E1, restarts=1, iterations=30, seed=3, initial_isometries=list(starts))
+        got = roof_estimate(rho, 2, 2, E1, restarts=1, iterations=30, seed=3, initial_isometries=starts)
+        assert estimate_bits(got) == estimate_bits(want) and got.restarts == 3
+
+    def test_bare_matrix_start_rejected(self, rng):
+        # one isometry, not a sequence of them: its rows are not isometries
+        message = r"initial_isometries must be a sequence .* got an array of shape \(3, 2\)"
+        with pytest.raises(ValueError, match=message):
+            roof_estimate(benchmark_state(), 2, 2, E1, restarts=1, iterations=0,
+                          initial_isometries=_haar_isometry(3, 2, rng))
 
     def test_supplied_start_must_be_an_isometry(self, rng):
         # A scaled isometry realizes four times rho; it never wins the search,
